@@ -10,6 +10,7 @@ gradient checks, and evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .tensor import (
     Tensor,
     affine,
     constant,
-    evaluate_with_gradients,
+    evaluate_with_gradients,  # noqa: F401  re-exported; perfbench's tracer wraps it here
     l2_normalize,
     log_softmax,
     matmul,
@@ -283,18 +284,66 @@ def ewc_penalty(params, anchor: ParamSet, fisher: ParamSet, lam: float) -> Tenso
 
 
 def fisher_estimate(params: ParamSet, images: np.ndarray, labels: np.ndarray, n_samples: int | None = None) -> ParamSet:
-    """Diagonal empirical Fisher: mean squared gradient of the observed-label log-likelihood."""
+    """Diagonal empirical Fisher: mean squared gradient of the observed-label log-likelihood.
+
+    One float64 forward and backward pass of the MLP over the first
+    `n_samples` rows. Row i's gradient of a dense weight is the outer
+    product of the layer input a_i and the output gradient d_i, so the sum
+    of squared per-row gradients is (A*A)^T (D*D), and for a bias it is
+    sum_i d_i^2 (Goodfellow 2015, arXiv 1510.01799). Parameters outside the
+    likelihood, such as the projection head, get zeros.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("fisher_estimate: need at least one sample")
     count = labels.size if n_samples is None else min(n_samples, labels.size)
-    flat = _flatten_images(images)
-    acc = {name: np.zeros(params[name].shape, dtype=np.float64) for name in params}
-    for i in range(count):
-        def nll(leaves, xi=flat[i : i + 1], yi=labels[i : i + 1]):
-            return loss_ce(leaves, xi, yi)
+    w = {name: params[name].astype(np.float64) for name in CLASSIFIER_NAMES}
+    y = _check_labels(labels[:count], w["head.b"].shape[-1], "fisher_estimate")
+    x = _flatten_images(images)[:count].astype(np.float64)
+    pre1 = x @ w["fe.w1"] + w["fe.b1"]
+    h1 = np.maximum(pre1, 0.0)
+    pre2 = h1 @ w["fe.w2"] + w["fe.b2"]
+    h2 = np.maximum(pre2, 0.0)
+    z = h2 @ w["head.w"] + w["head.b"]
+    # d(-log softmax(z)_y)/dz = softmax(z) - onehot(y)
+    d3 = np.exp(z - z.max(axis=-1, keepdims=True))
+    d3 /= d3.sum(axis=-1, keepdims=True)
+    d3[np.arange(count), y] -= 1.0
+    d2 = (d3 @ w["head.w"].T) * (pre2 > 0)
+    d1 = (d2 @ w["fe.w2"].T) * (pre1 > 0)
+    fisher = {}
+    for weight, bias, a, d in (("fe.w1", "fe.b1", x, d1), ("fe.w2", "fe.b2", h1, d2), ("head.w", "head.b", h2, d3)):
+        dd = d * d
+        fisher[weight] = (a * a).T @ dd / count
+        fisher[bias] = dd.sum(axis=0) / count
+    return ParamSet({name: fisher.get(name, np.zeros(params[name].shape)) for name in params})
 
-        _, grads = evaluate_with_gradients(nll, params)
-        for name in params:
-            acc[name] += grads[name].astype(np.float64) ** 2
-    return ParamSet({name: (acc[name] / count).astype(np.float32) for name in params})
+
+class EwcTerm(NamedTuple):
+    """Penalties of all finished tasks as one: lam/2 * (sum F (theta - anchor)^2 + offset)."""
+
+    anchor: ParamSet
+    fisher: ParamSet
+    offset: float
+
+
+def consolidate_ewc(pairs: Sequence[tuple[ParamSet, ParamSet]]) -> EwcTerm:
+    """Fold per-task (anchor a_k, Fisher F_k) pairs into one EWC term, in float64.
+
+    Elementwise, sum_k F_k (theta - a_k)^2 = F (theta - a)^2 + C with
+    F = sum_k F_k, a = sum_k F_k a_k / F (0 where F = 0) and
+    C = sum_k F_k a_k^2 - F a^2, so `ewc_penalty(theta, a, F, lam)` plus
+    lam/2 * offset, the sum of C, equals the sum of the per-task penalties:
+    online EWC with decay 1 (Schwarz et al. 2018, arXiv 1805.06370).
+    """
+    if not pairs:
+        raise ValueError("consolidate_ewc: need at least one (anchor, fisher) pair")
+    anchor, fisher, offset = {}, {}, 0.0
+    for name in pairs[0][0]:
+        a = np.stack([a_k[name] for a_k, _ in pairs]).astype(np.float64)
+        f = np.stack([f_k[name] for _, f_k in pairs]).astype(np.float64)
+        total = f.sum(axis=0)
+        mean = np.divide((f * a).sum(axis=0), total, out=np.zeros_like(total), where=total > 0)
+        offset += float((f * a * a).sum() - (total * mean * mean).sum())
+        anchor[name], fisher[name] = mean, total
+    return EwcTerm(ParamSet(anchor), ParamSet(fisher), offset)

@@ -59,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config value, e.g. --set federation.clients=3")
         p.add_argument("--out", help="run directory (created if needed)")
-        p.add_argument("--threads", type=int, help="worker threads for client loops (default 1)")
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; no effect (clients run serially in index order)")
         return p
 
     add_config_command("run", "execute the full pipeline")
@@ -75,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--out", required=True, help="existing run directory")
-        p.add_argument("--threads", type=int, help="worker threads for client loops")
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; no effect (clients run serially in index order)")
     return parser
 
 

@@ -25,7 +25,7 @@ DEFAULTS: dict[str, dict[str, Any]] = {
         "method": "dddr",  # dddr | finetune | fedewc
         "seed": 0,
         "n_tasks": 2,
-        "threads": 1,
+        "threads": 1,  # accepted for compatibility; clients always run serially
     },
     "data": {
         "source": "shapes",  # shapes | idx

@@ -18,17 +18,18 @@ successful run) is part of the metrics report.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .classifier import ClassifierDims, LossWeights, Snapshot, fisher_estimate, init_classifier, make_snapshot
+from .classifier import (
+    ClassifierDims, EwcTerm, LossWeights, Snapshot, consolidate_ewc, fisher_estimate, init_classifier, make_snapshot,
+)
 from .config import ExperimentConfig
 from .corpus import Corpus, dump_corpus, load_corpus
 from .diffusion import PretrainConfig, PretrainedDiffusion, pretrain_diffusion
-from .federation import ClientTrainConfig, ClientUpdate, aggregate_classifier, local_train_client
+from .federation import ClientTrainConfig, aggregate_classifier, has_training_data, local_train_client
 from .idx import load_idx
 from .inversion import EmbeddingStore, InversionConfig, add_gaussian_noise, federated_class_inversion
 from .metrics import AccuracyMatrix, MetricsReport, accuracy_curve, average_accuracy, evaluate_global, forgetting_measure, local_client_eval
@@ -296,9 +297,9 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
     sigma_c = cfg["noise"]["sigma_c"]
     matrix = AccuracyMatrix(plan.n_tasks, n_classes)
     snapshot: Snapshot | None = None
-    ewc_terms: list[tuple[ParamSet, ParamSet]] = []
+    ewc_pairs: list[tuple[ParamSet, ParamSet]] = []
+    ewc: EwcTerm | None = None
     train_records: list[dict] = []
-    threads = cfg["experiment"]["threads"]
 
     test_x = {c: corpus.images[idx] for c, idx in plan.test_by_class.items()}
 
@@ -326,29 +327,28 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
             if model.checksum() != generator_checksum:
                 raise AssertionError("frozen generator changed during replay generation")
 
+        # clients run serially in index order; a client with nothing to
+        # train on sits the round out and is left out of FedAvg
         for rnd in range(1, cfg["training"]["rounds"] + 1):
-            def run_client(j: int) -> ClientUpdate:
-                rng = stream(seed, "train", t, rnd, j)
-                update = local_train_client(
-                    j, global_params, shards[j], past_pair, cur_pair, snapshot, ewc_terms, ctc, rng
-                )
-                if sigma_c > 0:
-                    update.params = add_gaussian_noise(
-                        update.params, sigma_c, stream(seed, "clf-noise", t, rnd, j)
+            updates = []
+            for j in range(k):
+                rec = {"task": t, "round": rnd, "client": j, "samples": 0, "steps": 0}
+                if has_training_data(shards[j], past_pair, cur_pair, ctc):
+                    update = local_train_client(
+                        j, global_params, shards[j], past_pair, cur_pair, snapshot, ewc, ctc,
+                        stream(seed, "train", t, rnd, j),
                     )
-                return update
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    updates = list(pool.map(run_client, range(k)))
-            else:
-                updates = [run_client(j) for j in range(k)]
-            global_params = aggregate_classifier(updates)
-            for u in updates:
-                rec = {"task": t, "round": rnd, "client": u.client_id, "samples": u.sample_count,
-                       "steps": u.steps}
-                rec.update({f"loss_{k_}": v for k_, v in sorted(u.loss_means.items())})
+                    if sigma_c > 0:
+                        update.params = add_gaussian_noise(
+                            update.params, sigma_c, stream(seed, "clf-noise", t, rnd, j)
+                        )
+                    updates.append(update)
+                    rec.update(samples=update.sample_count, steps=update.steps)
+                    rec.update({f"loss_{k_}": v for k_, v in sorted(update.loss_means.items())})
                 train_records.append(rec)
+            if not updates:
+                raise ValueError(f"task {t} round {rnd}: no client has anything to train on")
+            global_params = aggregate_classifier(updates)
 
         if method == "fedewc":
             anchors = global_params.copy()
@@ -360,7 +360,8 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
                 fishers.append(fisher_estimate(anchors, x, y, n_samples=cfg["ewc"]["fisher_samples"]))
                 weights.append(float(y.size))
             if fishers:
-                ewc_terms.append((anchors, weighted_mean_params(fishers, weights)))
+                ewc_pairs.append((anchors, weighted_mean_params(fishers, weights)))
+                ewc = consolidate_ewc(ewc_pairs)
         if snapshot is not None and params_checksum(snapshot.params) != snapshot.checksum:
             raise AssertionError("previous-task snapshot mutated during training")
         snapshot = make_snapshot(global_params, t)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .classifier import (
     AllAnchorsSkipped,
+    EwcTerm,
     LossWeights,
     Snapshot,
     ewc_penalty,
@@ -82,27 +83,32 @@ def local_train_client(
     replay_past: tuple[np.ndarray, np.ndarray],
     replay_current: tuple[np.ndarray, np.ndarray],
     snapshot: Snapshot | None,
-    ewc_terms: list[tuple[ParamSet, ParamSet]],
+    ewc: EwcTerm | None,
     cfg: ClientTrainConfig,
     rng: np.random.Generator,
 ) -> ClientUpdate:
     """Run E local epochs of the combined objective and return the update.
 
     shard / replay_* are (images, labels) pairs; any of them may be empty,
-    but not all of shard and the replay sets together.
+    but not all of shard and the replay sets together (see
+    `has_training_data`). `ewc` is the consolidated penalty of the finished
+    tasks; a falsy value means none.
     """
+    if not has_training_data(shard, replay_past, replay_current, cfg):
+        raise ValueError(f"client {client_id}: nothing to train on (empty shard and replay sets)")
     real_x, real_y = _flatten_pair(shard)
     past_x, past_y = _flatten_pair(replay_past) if cfg.use_replay_past else _empty_pair(real_x)
     cur_x, cur_y = _flatten_pair(replay_current) if cfg.use_replay_current else _empty_pair(real_x)
     n_real, n_cur, n_past = real_y.size, cur_y.size, past_y.size
-    if n_real == 0 and n_cur == 0 and n_past == 0:
-        raise ValueError(f"client {client_id}: nothing to train on (empty shard and replay sets)")
 
     params = global_params
     if cfg.epochs == 0:
         return ClientUpdate(client_id=client_id, params=params, sample_count=max(1, n_real))
 
     distill = snapshot is not None and n_past > 0
+    use_ewc = cfg.ewc_lambda > 0 and bool(ewc)
+    # the consolidated penalty leaves out a constant; logged values add it back
+    ewc_offset = 0.5 * cfg.ewc_lambda * ewc.offset if use_ewc else 0.0
     opt = make_optimizer(cfg.optimizer, cfg.lr)
     term_sums = {"ce": 0.0, "scl": 0.0, "pce": 0.0, "kd": 0.0, "ewc": 0.0, "total": 0.0}
     steps = 0
@@ -158,19 +164,16 @@ def local_train_client(
                     kd = loss_kd(leaves, snapshot.params, past_x[pi], cfg.kd_temperature, cfg.kd_direction)
                     last_terms["kd"] = kd.item()
                     total = total + mul(kd, cfg.weights.w3)
-                if cfg.ewc_lambda > 0 and ewc_terms:
-                    ewc_value = 0.0
-                    for anchor, fisher in ewc_terms:
-                        pen = ewc_penalty(leaves, anchor, fisher, cfg.ewc_lambda)
-                        ewc_value += pen.item()
-                        total = total + pen
-                    last_terms["ewc"] = ewc_value
+                if use_ewc:
+                    pen = ewc_penalty(leaves, ewc.anchor, ewc.fisher, cfg.ewc_lambda)
+                    last_terms["ewc"] = pen.item() + ewc_offset
+                    total = total + pen
                 return total
 
             total_value, grads = evaluate_with_gradients(objective, params)
             params = apply_gradient_step(params, grads, opt)
             steps += 1
-            term_sums["total"] += total_value
+            term_sums["total"] += total_value + ewc_offset
             for key, value in last_terms.items():
                 term_sums[key] += value
 
@@ -181,6 +184,20 @@ def local_train_client(
         sample_count=max(1, n_real),
         loss_means=means,
         steps=steps,
+    )
+
+
+def has_training_data(
+    shard: tuple[np.ndarray, np.ndarray],
+    replay_past: tuple[np.ndarray, np.ndarray],
+    replay_current: tuple[np.ndarray, np.ndarray],
+    cfg: ClientTrainConfig,
+) -> bool:
+    """Whether a client has any rows to train on: its shard or a replay set it uses."""
+    return bool(
+        np.asarray(shard[1]).size
+        or (cfg.use_replay_past and np.asarray(replay_past[1]).size)
+        or (cfg.use_replay_current and np.asarray(replay_current[1]).size)
     )
 
 

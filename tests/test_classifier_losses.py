@@ -7,6 +7,7 @@ from dddr.classifier import (
     AllAnchorsSkipped,
     ClassifierDims,
     LossWeights,
+    consolidate_ewc,
     ewc_penalty,
     fisher_estimate,
     init_classifier,
@@ -329,3 +330,57 @@ def test_predict_ties_break_low_index():
     zeroed = ParamSet({k: np.zeros_like(v) for k, v in init_classifier(DIMS, seed=0).items()})
     x, _ = batch(22, 3)
     assert predict(zeroed, x).tolist() == [0, 0, 0]
+
+
+def fisher_per_sample(params, images, labels, n_samples):
+    """Reference: one graph per row, float32 gradients squared and averaged in float64."""
+    count = min(n_samples, labels.size)
+    flat = np.asarray(images, np.float32).reshape(images.shape[0], -1)
+    acc = {name: np.zeros(params[name].shape) for name in params}
+    for i in range(count):
+        _, grads = evaluate_with_gradients(lambda p, i=i: loss_ce(p, flat[i : i + 1], labels[i : i + 1]), params)
+        for name in params:
+            acc[name] += grads[name].astype(np.float64) ** 2
+    return {name: acc[name] / count for name in params}
+
+
+def test_fisher_one_pass_matches_per_sample_loop(fd_params):
+    r = stream(51, "fisher-images")
+    images = r.uniform(0, 1, (9, 2, 2, 2)).astype(np.float32)
+    labels = r.integers(0, DIMS.n_classes, 9)
+    fisher = fisher_estimate(fd_params, images, labels, n_samples=6)
+    reference = fisher_per_sample(fd_params, images, labels, n_samples=6)
+    assert fisher.names() == fd_params.names()
+    for name in fisher:
+        if name.startswith("proj."):
+            assert not fisher[name].any(), name
+            continue
+        scale = float(reference[name].max())
+        assert scale > 0, name
+        assert np.allclose(fisher[name], reference[name], rtol=1e-5, atol=1e-6 * scale), name
+
+
+def test_consolidated_ewc_equals_sum_of_task_penalties(fd_params):
+    r = stream(52, "ewc-pairs")
+    pairs = []
+    for _ in range(3):
+        anchor = ParamSet({k: r.normal(0, 0.5, v.shape) for k, v in fd_params.items()})
+        fisher = {k: np.abs(r.normal(0, 1.0, v.shape)) for k, v in fd_params.items()}
+        fisher["fe.b1"][:2] = 0.0  # entries no task constrains
+        pairs.append((anchor, ParamSet(fisher)))
+    lam = 2.5
+    anchor, fisher, offset = consolidate_ewc(pairs)
+    assert not fisher["fe.b1"][:2].any() and not anchor["fe.b1"][:2].any()
+
+    def summed(p):
+        total = ewc_penalty(p, pairs[0][0], pairs[0][1], lam)
+        for a, f in pairs[1:]:
+            total = total + ewc_penalty(p, a, f, lam)
+        return total
+
+    value_sum, grads_sum = evaluate_with_gradients(summed, fd_params)
+    value_one, grads_one = evaluate_with_gradients(lambda p: ewc_penalty(p, anchor, fisher, lam), fd_params)
+    assert value_one + 0.5 * lam * offset == pytest.approx(value_sum, rel=1e-5)
+    for name in fd_params:
+        scale = float(np.abs(grads_sum[name]).max())
+        assert np.allclose(grads_one[name], grads_sum[name], rtol=1e-5, atol=1e-6 * scale), name

@@ -205,3 +205,36 @@ def test_cli_threads_flag_changes_nothing(tmp_path):
     a = json.loads((out1 / "metrics.json").read_text())
     b = json.loads((out2 / "metrics.json").read_text())
     assert a == b
+
+
+def test_cli_threads_flag_leaves_every_fedewc_byte(tmp_path):
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    base = [f"--set={s}" for s in MICRO + ["experiment.method=fedewc", "ewc.fisher_samples=8"]]
+    assert main(["run", "--out", str(out1)] + base) == EXIT_OK
+    assert main(["run", "--out", str(out2), "--threads", "2"] + base) == EXIT_OK
+    a = {p.relative_to(out1): p.read_bytes() for p in sorted(out1.rglob("*")) if p.is_file()}
+    b = {p.relative_to(out2): p.read_bytes() for p in sorted(out2.rglob("*")) if p.is_file()}
+    assert a.keys() == b.keys()
+    # the echoed config records the flag itself
+    config = Path("config.effective.yaml")
+    assert a[config].replace(b"threads: 1\n", b"threads: 2\n") == b[config]
+    for name in a.keys() - {config}:
+        assert a[name] == b[name], f"--threads 2 changed {name}"
+
+
+def test_fedewc_skips_client_without_data(tmp_path):
+    # Dirichlet(0.5) over 10 clients leaves client 8 without task-0 data at
+    # seed 1; that client sits the round out instead of failing the run
+    out = tmp_path / "empty-client"
+    sets = [
+        "experiment.method=fedewc", "experiment.seed=1", "experiment.n_tasks=4", "data.classes=8",
+        "federation.clients=10", "federation.partition=dirichlet", "federation.alpha=0.5",
+        "training.rounds=1", "training.epochs=1",
+    ]
+    assert main(["run", "--out", str(out)] + [f"--set={s}" for s in sets]) == EXIT_OK
+    plan = json.loads((out / "data" / "plan.json").read_text())
+    assert len(plan["client_shards"][0][8]) == 0
+    records = [json.loads(line) for line in (out / "logs" / "training_rounds.jsonl").read_text().splitlines()]
+    skipped = [r for r in records if r["task"] == 0 and r["client"] == 8]
+    assert skipped == [{"task": 0, "round": 1, "client": 8, "samples": 0, "steps": 0}]
+    assert all(r["steps"] > 0 for r in records if r["samples"] > 0)
