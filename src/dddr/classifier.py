@@ -19,6 +19,7 @@ from .rng import stream
 from .tensor import (
     Tensor,
     affine,
+    as_leaves,
     constant,
     evaluate_with_gradients,  # noqa: F401  re-exported; perfbench's tracer wraps it here
     l2_normalize,
@@ -27,7 +28,6 @@ from .tensor import (
     mul,
     relu,
     softmax,
-    square,
     tmean,
     transpose,
     tsum,
@@ -106,30 +106,24 @@ def init_classifier(dims: ClassifierDims, seed: int, include_projection: bool = 
 CLASSIFIER_NAMES = ("fe.w1", "fe.b1", "fe.w2", "fe.b2", "head.w", "head.b")
 
 
-def _leaves(params) -> dict:
-    if isinstance(params, dict):
-        return params
-    return {name: constant(params[name]) for name in params}
-
-
 def _flatten_images(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float32)
     return x.reshape(x.shape[0], -1)
 
 
 def features(params, x) -> Tensor:
-    p = _leaves(params)
+    p = as_leaves(params)
     h = relu(affine(_wrap_input(x), p["fe.w1"], p["fe.b1"]))
     return relu(affine(h, p["fe.w2"], p["fe.b2"]))
 
 
 def logits(params, x) -> Tensor:
-    p = _leaves(params)
+    p = as_leaves(params)
     return affine(features(p, x), p["head.w"], p["head.b"])
 
 
 def project(params, feats: Tensor) -> Tensor:
-    p = _leaves(params)
+    p = as_leaves(params)
     h = relu(affine(feats, p["proj.w1"], p["proj.b1"]))
     return l2_normalize(affine(h, p["proj.w2"], p["proj.b2"]))
 
@@ -156,7 +150,7 @@ def _check_labels(y: np.ndarray, n_classes: int, where: str) -> np.ndarray:
 
 def loss_ce(params, x: np.ndarray, y: np.ndarray) -> Tensor:
     """Mean cross-entropy of full-softmax logits against integer labels."""
-    p = _leaves(params)
+    p = as_leaves(params)
     n_classes = p["head.b"].data.shape[-1]
     y = _check_labels(y, n_classes, "loss_ce")
     if y.size == 0:
@@ -210,7 +204,7 @@ def loss_scl(params, x: np.ndarray, y: np.ndarray, tau: float = 0.07) -> Tensor:
     if tau <= 0:
         raise ValueError("loss_scl: temperature must be positive")
     weights, diag_penalty, _ = supcon_masks(y)
-    p = _leaves(params)
+    p = as_leaves(params)
     z = project(p, features(p, x))
     sims = mul(matmul(z, transpose(z)), 1.0 / tau)
     masked = sims + constant(diag_penalty)
@@ -239,7 +233,7 @@ def loss_kd(
     t_logits = logits(teacher, x).data / np.float32(temperature)
     t_shift = t_logits - t_logits.max(axis=-1, keepdims=True)
     t_prob = np.exp(t_shift) / np.exp(t_shift).sum(axis=-1, keepdims=True)
-    p = _leaves(params)
+    p = as_leaves(params)
     s_lp = log_softmax(mul(logits(p, x), 1.0 / temperature))
     if direction == "teacher_ref":
         t_entropy = float(np.mean((t_prob * np.log(np.maximum(t_prob, 1e-30))).sum(axis=-1)))
@@ -269,18 +263,35 @@ def total_objective(terms, weights: LossWeights):
     return float(ce) + weights.w1 * float(scl) + weights.w2 * float(pce) + weights.w3 * float(kd)
 
 
-def ewc_penalty(params, anchor: ParamSet, fisher: ParamSet, lam: float) -> Tensor:
-    """lam/2 * sum_i F_i (theta_i - anchor_i)^2 over shared parameter names."""
+def ewc_penalty(params, anchor, fisher, lam: float) -> Tensor:
+    """lam/2 * sum_i F_i (theta_i - anchor_i)^2 over shared parameter names, as one graph node.
+
+    The value is computed in float64 whatever the leaves' dtype; each
+    leaf's gradient, lam * F * (theta - anchor), is cast to that leaf's
+    dtype. `anchor` and `fisher` may map names to float64 arrays, as an
+    `EwcTerm` does, so that a training step converts nothing.
+    """
     if lam < 0:
         raise ValueError("ewc_penalty: lambda must be >= 0")
-    p = _leaves(params)
-    total = constant(0.0)
-    for name in anchor:
-        if name not in p:
-            continue
-        diff = p[name] - constant(anchor[name])
-        total = total + tsum(mul(constant(fisher[name]), square(diff)))
-    return mul(total, 0.5 * lam)
+    p = as_leaves(params)
+    names = [name for name in anchor if name in p]
+    leaves = [p[name] for name in names]
+    fishers = [np.asarray(fisher[name], dtype=np.float64) for name in names]
+    diffs = [p[name].data - np.asarray(anchor[name], dtype=np.float64) for name in names]
+    scale = np.asarray(0.5 * lam)
+    total = 0.0
+    for f, d in zip(fishers, diffs):
+        total += (f * (d * d)).sum(dtype=np.float64)
+    out = Tensor(total * scale, _parents=tuple(leaves), op="ewc_penalty")
+
+    def _backward(grad: np.ndarray) -> None:
+        g = grad * scale
+        for leaf, f, d in zip(leaves, fishers, diffs):
+            if leaf.requires_grad:
+                leaf._accumulate(((g * f) * (2.0 * d)).astype(leaf.dtype))
+
+    out._backward = _backward
+    return out
 
 
 def fisher_estimate(params: ParamSet, images: np.ndarray, labels: np.ndarray, n_samples: int | None = None) -> ParamSet:
@@ -320,10 +331,14 @@ def fisher_estimate(params: ParamSet, images: np.ndarray, labels: np.ndarray, n_
 
 
 class EwcTerm(NamedTuple):
-    """Penalties of all finished tasks as one: lam/2 * (sum F (theta - anchor)^2 + offset)."""
+    """Penalties of all finished tasks as one: lam/2 * (sum F (theta - anchor)^2 + offset).
 
-    anchor: ParamSet
-    fisher: ParamSet
+    `anchor` and `fisher` hold float32 values in float64 arrays, the
+    precision `ewc_penalty` computes in.
+    """
+
+    anchor: dict[str, np.ndarray]
+    fisher: dict[str, np.ndarray]
     offset: float
 
 
@@ -335,15 +350,19 @@ def consolidate_ewc(pairs: Sequence[tuple[ParamSet, ParamSet]]) -> EwcTerm:
     C = sum_k F_k a_k^2 - F a^2, so `ewc_penalty(theta, a, F, lam)` plus
     lam/2 * offset, the sum of C, equals the sum of the per-task penalties:
     online EWC with decay 1 (Schwarz et al. 2018, arXiv 1805.06370).
+    a and F are rounded to float32, the parameter precision; C is not.
     """
     if not pairs:
         raise ValueError("consolidate_ewc: need at least one (anchor, fisher) pair")
     anchor, fisher, offset = {}, {}, 0.0
     for name in pairs[0][0]:
-        a = np.stack([a_k[name] for a_k, _ in pairs]).astype(np.float64)
-        f = np.stack([f_k[name] for _, f_k in pairs]).astype(np.float64)
+        a = np.stack([a_k[name] for a_k, _ in pairs], dtype=np.float64)
+        f = np.stack([f_k[name] for _, f_k in pairs], dtype=np.float64)
         total = f.sum(axis=0)
-        mean = np.divide((f * a).sum(axis=0), total, out=np.zeros_like(total), where=total > 0)
-        offset += float((f * a * a).sum() - (total * mean * mean).sum())
-        anchor[name], fisher[name] = mean, total
-    return EwcTerm(ParamSet(anchor), ParamSet(fisher), offset)
+        f *= a  # f becomes F_k a_k, then F_k a_k^2, in place: two stacks at peak
+        mean = np.divide(f.sum(axis=0), total, out=np.zeros_like(total), where=total > 0)
+        f *= a
+        offset += float(f.sum() - (total * mean * mean).sum())
+        anchor[name] = mean.astype(np.float32).astype(np.float64)
+        fisher[name] = total.astype(np.float32).astype(np.float64)
+    return EwcTerm(anchor, fisher, offset)

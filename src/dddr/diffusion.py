@@ -26,6 +26,7 @@ from .tensor import (
     NonFiniteValue,
     Tensor,
     affine,
+    as_leaves,
     concat,
     constant,
     evaluate_with_gradients,
@@ -134,12 +135,6 @@ def init_denoiser(dims: DiffusionDims, seed: int) -> ParamSet:
     )
 
 
-def _leaves(params) -> dict:
-    if isinstance(params, dict):
-        return params
-    return {name: constant(params[name]) for name in params}
-
-
 def denoiser_forward(params, z, temb, cond) -> Tensor:
     """Predicted noise for a noised latent batch.
 
@@ -149,7 +144,7 @@ def denoiser_forward(params, z, temb, cond) -> Tensor:
     The timestep and condition enter both hidden layers additively, and a
     linear skip from z to the output keeps the map full-rank.
     """
-    p = _leaves(params)
+    p = as_leaves(params)
     z = z if isinstance(z, Tensor) else constant(np.asarray(z, dtype=np.float32))
     temb = temb if isinstance(temb, Tensor) else constant(np.asarray(temb, dtype=np.float32))
     cond = cond if isinstance(cond, Tensor) else constant(np.asarray(cond, dtype=np.float32))

@@ -54,11 +54,10 @@ class InversionConfig:
 
 @dataclass
 class EmbeddingStore:
-    """Frozen per-class embeddings plus the per-round aggregate history."""
+    """Frozen per-class embeddings."""
 
     embed_dim: int
     entries: dict[int, ClassEmbedding] = field(default_factory=dict)
-    history: list[dict] = field(default_factory=list)
 
     def freeze(self, emb: ClassEmbedding) -> None:
         if emb.class_index in self.entries:
@@ -243,8 +242,6 @@ def federated_class_inversion(
                      "loss_start": loss_start, "loss_end": loss_end, "participated": True}
                 )
             current[c] = aggregate_embeddings(uploads)
-            store.history.append({"task": task_index, "round": rnd, "class": c,
-                                  "vector": current[c].vector.copy()})
     for c in sorted(task_classes):
         store.freeze(current[c])
 

@@ -58,20 +58,28 @@ def apply_gradient_step(params: ParamSet, grads: ParamSet, opt: OptimizerState) 
             updated[name] = params[name] - lr * grads[name]
         return ParamSet(updated)
 
-    bias1 = 1.0 - opt.beta1**opt.step
-    bias2 = 1.0 - opt.beta2**opt.step
+    # m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*(g*g), updated in place, then
+    # theta - lr*(m/bias1) / (sqrt(v/bias2) + eps); m and v are allocated once
+    bias1 = np.float32(1.0 - opt.beta1**opt.step)
+    bias2 = np.float32(1.0 - opt.beta2**opt.step)
     for name in params:
         g = grads[name]
-        m = opt.m.get(name)
-        v = opt.v.get(name)
-        if m is None:
-            m = np.zeros_like(g)
-            v = np.zeros_like(g)
-        m = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v = opt.beta2 * v + (1.0 - opt.beta2) * (g * g)
-        opt.m[name] = m
-        opt.v[name] = v
-        m_hat = m / np.float32(bias1)
-        v_hat = v / np.float32(bias2)
-        updated[name] = params[name] - np.float32(opt.lr) * m_hat / (np.sqrt(v_hat) + np.float32(opt.eps))
+        if name not in opt.m:
+            opt.m[name] = np.zeros_like(g)
+            opt.v[name] = np.zeros_like(g)
+        m, v = opt.m[name], opt.v[name]
+        tmp = np.multiply(g, 1.0 - opt.beta1)
+        m *= opt.beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - opt.beta2
+        v *= opt.beta2
+        v += tmp
+        step = np.divide(m, bias1)
+        step *= np.float32(opt.lr)
+        np.divide(v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += np.float32(opt.eps)
+        step /= tmp
+        updated[name] = params[name] - step
     return ParamSet(updated)

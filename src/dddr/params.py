@@ -168,9 +168,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, dict]:
         raise CheckpointError(f"{path}: unreadable metadata: {exc}") from exc
     values: dict[str, np.ndarray] = {}
     offset = meta_end
-    for name in meta["names"]:
-        shape = tuple(meta["shapes"][name])
-        count = int(meta["counts"][name])
+    for name, shape, count in _payload_layout(path, meta):
         nbytes = count * 4
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload at parameter {name!r}")
@@ -179,3 +177,27 @@ def load_checkpoint(path: str | Path) -> tuple[ParamSet, dict]:
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after payload")
     return ParamSet(values), meta.get("extra", {})
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _payload_layout(path, meta) -> list[tuple[str, tuple, int]]:
+    """(name, shape, count) per payload array, or CheckpointError naming what is malformed."""
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
+    for key, kind in (("names", list), ("shapes", dict), ("counts", dict)):
+        if not isinstance(meta.get(key), kind):
+            raise CheckpointError(f"{path}: metadata {key!r} is missing or not a {kind.__name__}")
+    if not all(isinstance(name, str) for name in meta["names"]):
+        raise CheckpointError(f"{path}: metadata 'names' holds a non-string entry")
+    layout = []
+    for name in meta["names"]:
+        shape, count = meta["shapes"].get(name), meta["counts"].get(name)
+        if not (isinstance(shape, list) and all(_is_count(d) for d in shape)):
+            raise CheckpointError(f"{path}: parameter {name!r} has no valid shape in metadata: {shape!r}")
+        if not _is_count(count) or count != int(np.prod(shape)):
+            raise CheckpointError(f"{path}: parameter {name!r} has a bad count in metadata: {count!r}")
+        layout.append((name, tuple(shape), count))
+    return layout

@@ -23,7 +23,6 @@ from .rng import stream
 class ReplayCache:
     by_class: dict[int, np.ndarray] = field(default_factory=dict)  # label -> (n, C, H, W)
     seed: int = 0
-    sampler_steps: int = 0
 
     def counts(self) -> dict[int, int]:
         return {c: int(v.shape[0]) for c, v in sorted(self.by_class.items())}
@@ -62,10 +61,10 @@ def build_replay_sets(
     seed: int,
 ) -> tuple[ReplayCache, ReplayCache]:
     """(history cache, current-task cache); the history cache is empty on the first task."""
-    past = ReplayCache(seed=seed, sampler_steps=model.sched.T)
+    past = ReplayCache(seed=seed)
     for c in sorted(past_classes):
         past.by_class[c] = generate_class_samples(store, c, past_per_class, model, seed)
-    current = ReplayCache(seed=seed, sampler_steps=model.sched.T)
+    current = ReplayCache(seed=seed)
     for c in sorted(current_classes):
         current.by_class[c] = generate_class_samples(store, c, current_per_class, model, seed)
     return past, current

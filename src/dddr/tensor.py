@@ -417,6 +417,13 @@ def param_leaves(params, dtype=None) -> dict[str, Tensor]:
     return leaves
 
 
+def as_leaves(params) -> dict[str, Tensor]:
+    """Leaves for a graph function: a dict of Tensors as given, else each entry as a constant."""
+    if isinstance(params, dict):
+        return params
+    return {name: constant(params[name]) for name in params}
+
+
 def evaluate_with_gradients(f, params, *inputs, dtype=None):
     """Evaluate a scalar graph function and return (loss value, gradients).
 

@@ -23,7 +23,7 @@ from dddr.classifier import (
 from dddr.gradcheck import finite_difference_check
 from dddr.params import ParamSet, params_checksum
 from dddr.rng import stream
-from dddr.tensor import evaluate_with_gradients
+from dddr.tensor import as_leaves, constant, evaluate_with_gradients, mul, param_leaves, square, tsum
 
 
 DIMS = ClassifierDims(input_dim=8, n_classes=5, hidden=6, feature_dim=4, proj_hidden=4, proj_dim=3)
@@ -384,3 +384,60 @@ def test_consolidated_ewc_equals_sum_of_task_penalties(fd_params):
     for name in fd_params:
         scale = float(np.abs(grads_sum[name]).max())
         assert np.allclose(grads_one[name], grads_sum[name], rtol=1e-5, atol=1e-6 * scale), name
+
+
+def ewc_penalty_graph(params, anchor, fisher, lam):
+    """Reference: the penalty built from engine kernels, one sub-graph per parameter name."""
+    p = as_leaves(params)
+    total = constant(0.0)
+    for name in anchor:
+        if name not in p:
+            continue
+        diff = p[name] - constant(anchor[name])
+        total = total + tsum(mul(constant(fisher[name]), square(diff)))
+    return mul(total, 0.5 * lam)
+
+
+def value_and_leaf_grads(penalty, params, dtype, with_ce):
+    leaves = param_leaves(params, dtype=dtype)
+    loss = penalty(leaves)
+    if with_ce:
+        x, y = batch(54, 6)
+        loss = loss_ce(leaves, x, y) + loss
+    loss.backward()
+    return loss.data, {name: leaf.grad for name, leaf in leaves.items()}
+
+
+@pytest.mark.parametrize("with_ce", [False, True], ids=["alone", "after-ce"])
+@pytest.mark.parametrize("form", ["per-task", "consolidated"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ewc_one_node_matches_graph_form_bit_for_bit(fd_params, dtype, form, with_ce):
+    r = stream(53, "ewc-bits")
+    # "proj.b2" has a penalty but no leaf; "proj.w2" has a leaf but no penalty
+    names = [k for k in fd_params if k != "proj.w2"]
+    pairs = [
+        (ParamSet({k: r.normal(0, 0.5, fd_params[k].shape) for k in names}),
+         ParamSet({k: np.abs(r.normal(0, 1.0, fd_params[k].shape)) for k in names}))
+        for _ in range(2)
+    ]
+    anchor, fisher = pairs[0]
+    ref_anchor, ref_fisher = anchor, fisher
+    if form == "consolidated":
+        anchor, fisher, _ = consolidate_ewc(pairs)
+        ref_anchor, ref_fisher = ParamSet(anchor), ParamSet(fisher)
+    params = {k: v for k, v in fd_params.items() if k != "proj.b2"}
+    if dtype == np.float64:
+        # off the float32 grid, like gradcheck's perturbed copies
+        params = {k: v + r.normal(0, 1e-3, v.shape) for k, v in params.items()}
+    value, grads = value_and_leaf_grads(lambda p: ewc_penalty(p, anchor, fisher, 2.5), params, dtype, with_ce)
+    ref_value, ref_grads = value_and_leaf_grads(
+        lambda p: ewc_penalty_graph(p, ref_anchor, ref_fisher, 2.5), params, dtype, with_ce
+    )
+    assert value.dtype == ref_value.dtype == np.float64
+    assert np.array_equal(value, ref_value)
+    for name in params:
+        if ref_grads[name] is None:
+            assert grads[name] is None, name
+            continue
+        assert grads[name].dtype == ref_grads[name].dtype == dtype, name
+        assert np.array_equal(grads[name], ref_grads[name]), name

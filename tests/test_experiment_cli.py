@@ -238,3 +238,14 @@ def test_fedewc_skips_client_without_data(tmp_path):
     skipped = [r for r in records if r["task"] == 0 and r["client"] == 8]
     assert skipped == [{"task": 0, "round": 1, "client": 8, "samples": 0, "steps": 0}]
     assert all(r["steps"] > 0 for r in records if r["samples"] > 0)
+
+
+def test_cli_malformed_checkpoint_metadata_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "bad-meta"
+    assert main(["gen-data", "--out", str(out)] + [f"--set={s}" for s in MICRO]) == EXIT_OK
+    ckpt = RunPaths(root=out).diffusion_ckpt
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    meta = b"[]"
+    ckpt.write_bytes(b"DDDRCKPT" + (1).to_bytes(4, "little") + len(meta).to_bytes(4, "little") + meta)
+    assert main(["invert", "--out", str(out)]) == EXIT_DATA
+    assert "diffusion.ckpt" in capsys.readouterr().err

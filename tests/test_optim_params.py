@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -108,3 +111,74 @@ def test_checkpoint_truncated_payload(tmp_path):
 def test_checksum_sensitive_to_values():
     a, b = ps(x=[1.0]), ps(x=[1.0000001])
     assert params_checksum(a) != params_checksum(b)
+
+
+def write_checkpoint_with_meta(path, meta, payload=b""):
+    text = json.dumps(meta).encode("utf-8")
+    path.write_bytes(b"DDDRCKPT" + struct.pack("<II", 1, len(text)) + text + payload)
+
+
+GOOD_META = {"names": ["a"], "shapes": {"a": [2]}, "counts": {"a": 2}, "extra": {}}
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {k: v for k, v in GOOD_META.items() if k != "names"},
+        {k: v for k, v in GOOD_META.items() if k != "counts"},
+        {**GOOD_META, "counts": {"a": "two"}},
+        {**GOOD_META, "counts": {"a": 2.5}},
+        [GOOD_META],
+    ],
+    ids=["missing-names", "missing-counts", "string-count", "float-count", "json-list"],
+)
+def test_checkpoint_malformed_metadata_names_the_file(tmp_path, meta):
+    path = tmp_path / "meta.ckpt"
+    write_checkpoint_with_meta(path, meta, payload=np.zeros(2, "<f4").tobytes())
+    with pytest.raises(CheckpointError, match="meta.ckpt"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_hand_written_metadata_loads(tmp_path):
+    path = tmp_path / "meta.ckpt"
+    write_checkpoint_with_meta(path, GOOD_META, payload=np.array([1.0, 2.0], "<f4").tobytes())
+    loaded, extra = load_checkpoint(path)
+    assert np.array_equal(loaded["a"], [1.0, 2.0]) and extra == {}
+
+
+def adam_reference(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference: the Adam formula with fresh m, v, m_hat and v_hat arrays every step."""
+    state["step"] += 1
+    bias1 = 1.0 - beta1 ** state["step"]
+    bias2 = 1.0 - beta2 ** state["step"]
+    updated = {}
+    for name in params:
+        g = grads[name]
+        m = state["m"].get(name, np.zeros_like(g))
+        v = state["v"].get(name, np.zeros_like(g))
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        state["m"][name], state["v"][name] = m, v
+        m_hat = m / np.float32(bias1)
+        v_hat = v / np.float32(bias2)
+        updated[name] = params[name] - np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(eps))
+    return ParamSet(updated)
+
+
+def test_adam_in_place_matches_reference_bit_for_bit():
+    r = np.random.default_rng(7)
+    shapes = {"w": (5, 3), "b": (3,), "s": ()}
+    params = ParamSet({k: r.normal(0, 1, s) for k, s in shapes.items()})
+    ref_params, ref_state = params, {"step": 0, "m": {}, "v": {}}
+    opt = adam(lr=3e-3)
+    for step in range(5):
+        grads = ParamSet({k: r.normal(0, 10.0 ** r.integers(-6, 2), s) for k, s in shapes.items()})
+        if step == 1:
+            grads = ParamSet({**grads, "b": np.array([0.0, -0.0, 1e-30])})
+        params = apply_gradient_step(params, grads, opt)
+        ref_params = adam_reference(ref_params, grads, ref_state, lr=3e-3)
+        for name in shapes:
+            assert np.array_equal(params[name], ref_params[name]), (step, name)
+            assert np.array_equal(opt.m[name], ref_state["m"][name]), (step, name)
+            assert np.array_equal(opt.v[name], ref_state["v"][name]), (step, name)
+            assert opt.m[name].dtype == opt.v[name].dtype == np.float32
