@@ -182,3 +182,13 @@ def test_adam_in_place_matches_reference_bit_for_bit():
             assert np.array_equal(opt.m[name], ref_state["m"][name]), (step, name)
             assert np.array_equal(opt.v[name], ref_state["v"][name]), (step, name)
             assert opt.m[name].dtype == opt.v[name].dtype == np.float32
+
+
+def test_malloc_thresholds_are_pinned_under_glibc():
+    import platform
+
+    import dddr
+
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("mallopt thresholds exist only in glibc")
+    assert dddr.pin_malloc_thresholds()
