@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +15,6 @@ import numpy as np
 
 class DataFormatError(Exception):
     """Malformed on-disk data (bad header, truncation, inconsistent counts)."""
-
-
-@dataclass(frozen=True)
-class LabeledImage:
-    pixels: np.ndarray  # (C, H, W) float32 in [0, 1]
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.pixels.ndim != 3:
-            raise ValueError(f"pixels must be (C, H, W), got {self.pixels.shape}")
-        if self.label < 0:
-            raise ValueError("label must be non-negative")
 
 
 class Corpus:
@@ -47,9 +34,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return self.images.shape[0]
-
-    def __getitem__(self, i: int) -> LabeledImage:
-        return LabeledImage(self.images[i], int(self.labels[i]))
 
     @property
     def image_shape(self) -> tuple:

@@ -8,8 +8,10 @@ by every class, fixed at pretraining time) and a per-class embedding
 half; the embedding half is the only thing later phases are allowed to
 optimize.
 
-The autoencoder wrapping the latent space is the identity by default; a
-linear (PCA) pair is available when a compressed latent is wanted.
+The model works on flattened pixels directly: the latent is the image.
+The denoiser is one tensor-engine node with a hand-written backward, so
+pretraining, class inversion and sampling each build a small graph per
+call.
 """
 
 from __future__ import annotations
@@ -24,16 +26,17 @@ from .optim import adam, apply_gradient_step
 from .rng import stream
 from .tensor import (
     NonFiniteValue,
+    NumericsError,
     Tensor,
-    affine,
     as_leaves,
+    check_finite,
     concat,
     constant,
     evaluate_with_gradients,
     matmul,
-    mul,
     reshape,
-    silu,
+    sigmoid,
+    silu_grad,
     square,
     tmean,
     tsum,
@@ -42,6 +45,15 @@ from .tensor import (
 
 class ScheduleError(ValueError):
     pass
+
+
+class PretrainingDiverged(NumericsError):
+    """A non-finite value in a pretraining step; names the step and the kernel."""
+
+    def __init__(self, step: int, kernel: str) -> None:
+        super().__init__(f"pretraining diverged at step {step}: {kernel} produced a non-finite value")
+        self.step = step
+        self.kernel = kernel
 
 
 @dataclass(frozen=True)
@@ -135,24 +147,90 @@ def init_denoiser(dims: DiffusionDims, seed: int) -> ParamSet:
     )
 
 
+# (input weight, bias, timestep weight, condition weight) of each hidden layer
+_HIDDEN_LAYERS = (
+    ("den.w_in", "den.b_in", "den.w_time", "den.w_cond"),
+    ("den.w_h", "den.b_h", "den.w_time2", "den.w_cond2"),
+)
+DENOISER_NAMES = (*_HIDDEN_LAYERS[0], *_HIDDEN_LAYERS[1], "den.w_out", "den.b_out", "den.w_skip")
+
+
+def _sum_of_products(terms, bias: Tensor) -> np.ndarray:
+    """x0 @ w0 + bias + x1 @ w1 + ..., added left to right."""
+    (x0, w0), *rest = terms
+    s = x0.data @ w0.data + bias.data
+    for x, w in rest:
+        s = s + x.data @ w.data
+    return s
+
+
+def _sum_of_products_backward(terms, bias: Tensor, grad: np.ndarray) -> None:
+    """Accumulate the gradients of `_sum_of_products` into the operands that need them.
+
+    The graph form held each product's and each partial sum's gradient in
+    that array's dtype. No operand is wider than the sum it feeds, so that
+    chain of casts equals one cast of `grad` to the array's dtype.
+    """
+    for x, w in terms:
+        if x.requires_grad or w.requires_grad:
+            g = grad.astype(np.result_type(x.data, w.data), copy=False)
+            if w.requires_grad:
+                w._accumulate(x.data.T @ g)
+            if x.requires_grad:
+                x._accumulate(g @ w.data.T)
+    if bias.requires_grad:
+        x0, w0 = terms[0]
+        g = grad.astype(np.result_type(x0.data, w0.data, bias.data), copy=False)
+        bias._accumulate(g.sum(axis=0, dtype=np.float64).astype(bias.dtype))
+
+
 def denoiser_forward(params, z, temb, cond) -> Tensor:
-    """Predicted noise for a noised latent batch.
+    """Predicted noise for a noised latent batch, as one graph node.
 
     z: (B, D) latent, temb: (B, time_dim) timestep embedding rows,
     cond: (B, 2 * embed_dim) condition rows. Any of them may be graph
     tensors; the condition is the differentiable path during inversion.
     The timestep and condition enter both hidden layers additively, and a
-    linear skip from z to the output keeps the map full-rank.
+    linear skip from z to the output keeps the map full-rank:
+
+        h  = silu(z @ w_in + b_in + temb @ w_time + cond @ w_cond)
+        h2 = silu(h @ w_h + b_h + temb @ w_time2 + cond @ w_cond2)
+        out = h2 @ w_out + b_out + z @ w_skip
+
+    The layers run in numpy in the order of the graph of matmul, add and
+    silu kernels they replace, and the hand-written backward gives
+    gradients only to the parents that require them, so values and
+    gradients match that graph bit for bit. Each layer's sum is checked
+    for non-finite values (a non-finite product or partial sum stays
+    non-finite in it), and the error names the layer.
     """
     p = as_leaves(params)
-    z = z if isinstance(z, Tensor) else constant(np.asarray(z, dtype=np.float32))
-    temb = temb if isinstance(temb, Tensor) else constant(np.asarray(temb, dtype=np.float32))
-    cond = cond if isinstance(cond, Tensor) else constant(np.asarray(cond, dtype=np.float32))
-    h = matmul(z, p["den.w_in"]) + p["den.b_in"]
-    h = silu(h + matmul(temb, p["den.w_time"]) + matmul(cond, p["den.w_cond"]))
-    h2 = affine(h, p["den.w_h"], p["den.b_h"])
-    h2 = silu(h2 + matmul(temb, p["den.w_time2"]) + matmul(cond, p["den.w_cond2"]))
-    return affine(h2, p["den.w_out"], p["den.b_out"]) + matmul(z, p["den.w_skip"])
+    z, temb, cond = (x if isinstance(x, Tensor) else constant(np.asarray(x, dtype=np.float32)) for x in (z, temb, cond))
+    w = {name: p[name] for name in DENOISER_NAMES}
+    hidden = []  # (terms, bias, pre-activation, its sigmoid, activation) per hidden layer
+    act = z
+    for i, (w_x, b, w_t, w_c) in enumerate(_HIDDEN_LAYERS, start=1):
+        terms = ((act, w[w_x]), (temb, w[w_t]), (cond, w[w_c]))
+        s = check_finite(f"denoiser.hidden{i}", _sum_of_products(terms, w[b]))
+        sig = sigmoid(s)
+        needs_grad = w[b].requires_grad or any(x.requires_grad or m.requires_grad for x, m in terms)
+        act = Tensor(s * sig, requires_grad=needs_grad, op=f"denoiser.silu{i}")
+        hidden.append((terms, w[b], s, sig, act))
+    out_terms = ((act, w["den.w_out"]), (z, w["den.w_skip"]))
+    out = Tensor(
+        _sum_of_products(out_terms, w["den.b_out"]),
+        _parents=(z, temb, cond, *w.values()),
+        op="denoiser",
+    )
+
+    def _backward(grad: np.ndarray) -> None:
+        _sum_of_products_backward(out_terms, w["den.b_out"], grad)
+        for terms, bias, s, sig, act in reversed(hidden):
+            if act.grad is not None:
+                _sum_of_products_backward(terms, bias, silu_grad(act.grad, s, sig))
+
+    out._backward = _backward
+    return out
 
 
 @dataclass(frozen=True)
@@ -335,7 +413,7 @@ def pretrain_diffusion(corpus: Corpus, cfg: PretrainConfig) -> PretrainedDiffusi
         try:
             loss, grads = evaluate_with_gradients(objective, params, batch_idx, t, eps)
         except NonFiniteValue as exc:
-            raise RuntimeError(f"pretraining diverged at step {step}: {exc}") from exc
+            raise PretrainingDiverged(step, exc.kernel) from exc
         params = apply_gradient_step(params, grads, opt)
         trace.append(loss)
 
@@ -369,62 +447,16 @@ def sample(
     if n < 1:
         raise ValueError("sample: n must be >= 1")
     latent_dim = params["den.b_out"].shape[0]
-    cond_rows = np.tile(cond.combined(), (n, 1))
+    leaves = as_leaves(params)  # the frozen weights, wrapped and checked once per call
+    cond_rows = constant(np.tile(cond.combined(), (n, 1)))
     z = rng.standard_normal((n, latent_dim)).astype(np.float32)
     for t in range(sched.T, 0, -1):
         beta = sched.beta(t)
         ab = sched.alpha_bar(t)
         temb = np.tile(temb_table[t], (n, 1))
-        eps_hat = denoiser_forward(params, z, temb, cond_rows).data
+        eps_hat = denoiser_forward(leaves, z, temb, cond_rows).data
         z = (z - (beta / np.sqrt(1.0 - ab)) * eps_hat) / np.sqrt(1.0 - beta)
         if t > 1:
             z = z + np.sqrt(beta) * rng.standard_normal((n, latent_dim))
         z = z.astype(np.float32)
     return np.clip(z, clamp[0], clamp[1]).astype(np.float32)
-
-
-class AutoencoderPair:
-    """Encoder/decoder wrapper around the latent space; identity by default."""
-
-    def __init__(self, mode: str = "identity", mean: np.ndarray | None = None, basis: np.ndarray | None = None,
-                 train_mse: float | None = None) -> None:
-        if mode not in ("identity", "linear"):
-            raise ValueError(f"unknown autoencoder mode {mode!r}")
-        self.mode = mode
-        self.mean = mean
-        self.basis = basis  # (D, latent) orthonormal columns
-        self.train_mse = train_mse
-
-    @property
-    def latent_dim(self) -> int | None:
-        return None if self.mode == "identity" else self.basis.shape[1]
-
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        flat = np.asarray(x, dtype=np.float32).reshape(x.shape[0], -1)
-        if self.mode == "identity":
-            return flat
-        return (flat - self.mean) @ self.basis
-
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float32)
-        if self.mode == "identity":
-            return z
-        if z.shape[-1] != self.basis.shape[1]:
-            raise ValueError(f"decode: latent dim {z.shape[-1]} != {self.basis.shape[1]}")
-        return z @ self.basis.T + self.mean
-
-
-def fit_linear_autoencoder(images: np.ndarray, latent_dim: int, mse_bound: float) -> AutoencoderPair:
-    """PCA pair; raises if the reconstruction error on its own training set exceeds the bound."""
-    flat = np.asarray(images, dtype=np.float32).reshape(images.shape[0], -1)
-    mean = flat.mean(axis=0)
-    centered = (flat - mean).astype(np.float64)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = np.ascontiguousarray(vt[:latent_dim].T.astype(np.float32))
-    pair = AutoencoderPair(mode="linear", mean=mean.astype(np.float32), basis=basis)
-    recon = pair.decode(pair.encode(flat))
-    mse = float(np.mean((recon - flat) ** 2))
-    if mse > mse_bound:
-        raise ValueError(f"linear autoencoder reconstruction MSE {mse:.6f} exceeds bound {mse_bound}")
-    pair.train_mse = mse
-    return pair

@@ -350,7 +350,9 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
                 raise ValueError(f"task {t} round {rnd}: no client has anything to train on")
             global_params = aggregate_classifier(updates)
 
-        if method == "fedewc":
+        # the consolidated penalty is read only by later tasks, so the last
+        # task estimates no Fisher
+        if method == "fedewc" and t < plan.n_tasks - 1:
             anchors = global_params.copy()
             fishers, weights = [], []
             for j in range(k):

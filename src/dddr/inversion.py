@@ -18,7 +18,7 @@ from .diffusion import PretrainedDiffusion, condition_rows, draw_timesteps_and_n
 from .optim import adam, apply_gradient_step
 from .params import ParamSet
 from .rng import stream
-from .tensor import evaluate_with_gradients
+from .tensor import as_leaves, evaluate_with_gradients
 
 
 class NoLocalData(Exception):
@@ -133,7 +133,7 @@ def local_class_inversion(
     if steps == 0:
         return ClassEmbedding(class_index, start.vector.copy(), start.round_counter, "local"), 0.0, 0.0
 
-    denoiser_consts = {name: model.params[name] for name in model.params}
+    denoiser_consts = as_leaves(model.params)  # wrapped and finite-checked once per call
 
     probe_source = probe_rng if probe_rng is not None else rng
     probe_idx = probe_source.integers(0, flat.shape[0], size=min(batch, flat.shape[0]))

@@ -4,7 +4,10 @@ The engine supports exactly the kernels the rest of the simulator needs:
 matmul, add, elementwise mul, affine, relu/silu, softmax, log-softmax,
 l2-normalize, mean, sum, square, concat, plus shape-only reshape and
 scalar sugar built from those. There is no general graph compiler; graphs
-are built eagerly by calling these functions on `Tensor` values.
+are built eagerly by calling these functions on `Tensor` values. Two model
+pieces are single nodes with a hand-written backward built on the same
+array helpers: the EWC penalty (`classifier.ewc_penalty`) and the
+denoiser (`diffusion.denoiser_forward`).
 
 Values are float32 by default. Reductions accumulate in float64 before
 casting back, and every kernel validates that its output is finite, so a
@@ -42,7 +45,7 @@ class DegenerateInput(NumericsError):
     """Mathematically invalid input, e.g. a zero vector to l2_normalize."""
 
 
-def _check_finite(kernel: str, data: np.ndarray) -> np.ndarray:
+def check_finite(kernel: str, data: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise NonFiniteValue(kernel)
     return data
@@ -74,7 +77,7 @@ class Tensor:
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
         self.op = op
-        _check_finite(op, self.data)
+        check_finite(op, self.data)
 
     @property
     def shape(self) -> tuple:
@@ -247,16 +250,30 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid of an array, in its dtype, without branches or overflow.
+
+    exp is taken only of -|x|, so large |x| cannot overflow; the numerator
+    is 1 where x >= 0 and e = exp(x) elsewhere, which gives 1 / (1 + e) and
+    e / (1 + e) bit for bit, at +-0, +-inf and on underflow too. NaN maps
+    to NaN.
+    """
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, (x >= 0).astype(x.dtype)) / (1.0 + e)
+
+
+def silu_grad(grad: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Upstream gradient times d silu(x)/dx, with sig = sigmoid(x)."""
+    return grad * (sig * (1.0 + x * (1.0 - sig)))
+
+
 def silu(x: Tensor) -> Tensor:
     x = _wrap(x)
-    # exp only of non-positive values so large |x| cannot overflow
-    pos = x.data >= 0
-    e = np.exp(np.where(pos, -x.data, x.data))
-    sig = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+    sig = sigmoid(x.data)
     out = Tensor(x.data * sig, _parents=(x,), op="silu")
 
     def _backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * (sig * (1.0 + x.data * (1.0 - sig))))
+        x._accumulate(silu_grad(grad, x.data, sig))
 
     out._backward = _backward
     return out

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dddr import diffusion
+from dddr import tensor as T
 from dddr.diffusion import (
-    AutoencoderPair,
+    DENOISER_NAMES,
     ConditionVector,
     DiffusionDims,
     PretrainConfig,
@@ -10,8 +12,8 @@ from dddr.diffusion import (
     ScheduleError,
     build_schedule,
     condition_rows,
+    denoiser_forward,
     draw_timesteps_and_noise,
-    fit_linear_autoencoder,
     forward_diffuse,
     init_denoiser,
     ldm_loss,
@@ -22,7 +24,7 @@ from dddr.diffusion import (
 from dddr.gradcheck import finite_difference_check
 from dddr.params import ParamSet
 from dddr.rng import stream
-from dddr.tensor import evaluate_with_gradients
+from dddr.tensor import NonFiniteValue, evaluate_with_gradients
 
 
 @pytest.fixture(scope="module")
@@ -183,29 +185,171 @@ def test_diffusion_checkpoint_round_trip(tiny_model, tmp_path):
     assert np.array_equal(a, b)
 
 
-def test_identity_autoencoder_round_trip():
-    pair = AutoencoderPair()
-    x = stream(8, "ae").uniform(0, 1, (5, 16)).astype(np.float32)
-    assert np.array_equal(pair.decode(pair.encode(x)), x)
-
-
-def test_linear_autoencoder_bounds_reconstruction(pretrain_corpus):
-    images = pretrain_corpus.images[:200]
-    pair = fit_linear_autoencoder(images, latent_dim=64, mse_bound=0.05)
-    assert pair.train_mse is not None and pair.train_mse <= 0.05
-    flat = images.reshape(200, -1)
-    recon = pair.decode(pair.encode(flat))
-    assert recon.shape == flat.shape
-
-
-def test_linear_autoencoder_rejects_wrong_latent_dim(pretrain_corpus):
-    pair = fit_linear_autoencoder(pretrain_corpus.images[:50], latent_dim=8, mse_bound=1.0)
-    with pytest.raises(ValueError, match="latent dim"):
-        pair.decode(np.zeros((2, 9), dtype=np.float32))
-
-
 def test_time_embedding_rows_are_distinct():
     table = time_embedding_table(100, 16)
     assert table.shape == (101, 16)
     diffs = np.linalg.norm(table[1:] - table[:-1], axis=1)
     assert (diffs > 1e-3).all()
+
+
+# -- the one-node denoiser against the graph it replaced ---------------------
+
+def _where_silu(x):
+    """The two-np.where silu kernel that tensor.silu used to be."""
+    x = T._wrap(x)
+    pos = x.data >= 0
+    e = np.exp(np.where(pos, -x.data, x.data))
+    sig = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
+    out = T.Tensor(x.data * sig, _parents=(x,), op="silu")
+
+    def _backward(grad):
+        x._accumulate(grad * (sig * (1.0 + x.data * (1.0 - sig))))
+
+    out._backward = _backward
+    return out
+
+
+def _graph_denoiser_forward(params, z, temb, cond):
+    """The denoiser as the 18-kernel graph of matmul, add and silu nodes it used to be."""
+    p = T.as_leaves(params)
+    z = z if isinstance(z, T.Tensor) else T.constant(np.asarray(z, dtype=np.float32))
+    temb = temb if isinstance(temb, T.Tensor) else T.constant(np.asarray(temb, dtype=np.float32))
+    cond = cond if isinstance(cond, T.Tensor) else T.constant(np.asarray(cond, dtype=np.float32))
+    h = T.matmul(z, p["den.w_in"]) + p["den.b_in"]
+    h = _where_silu(h + T.matmul(temb, p["den.w_time"]) + T.matmul(cond, p["den.w_cond"]))
+    h2 = T.affine(h, p["den.w_h"], p["den.b_h"])
+    h2 = _where_silu(h2 + T.matmul(temb, p["den.w_time2"]) + T.matmul(cond, p["den.w_cond2"]))
+    return T.affine(h2, p["den.w_out"], p["den.b_out"]) + T.matmul(z, p["den.w_skip"])
+
+
+def _trained_like_denoiser(dims, seed):
+    # nonzero biases and a perturbed skip, so every gradient path carries signal
+    r = stream(seed, "trained-like")
+    return ParamSet({k: v + r.normal(0, 0.05, v.shape).astype(np.float32) for k, v in init_denoiser(dims, seed).items()})
+
+
+def _value_and_leaf_grads(f, params, dtype):
+    """Loss value and each leaf's raw gradient, in the leaves' dtype (ParamSet would cast to float32)."""
+    leaves = T.param_leaves(params, dtype=dtype)
+    loss = f(leaves)
+    loss.backward()
+    return loss.data, {name: leaf.grad for name, leaf in leaves.items()}
+
+
+def _ldm_inputs(dims, batch, seed):
+    sched = build_schedule(20, 1e-4, 0.2)
+    tt = time_embedding_table(20, dims.time_dim)
+    rng = stream(seed, "node-vs-graph")
+    z0 = rng.uniform(0, 1, (batch, dims.latent_dim)).astype(np.float32)
+    t, eps = draw_timesteps_and_noise(rng, batch, dims.latent_dim, 20)
+    cond = rng.normal(0, 0.5, (batch, dims.cond_dim)).astype(np.float32)
+    return sched, tt, z0, t, eps, cond
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_denoiser_node_matches_graph_bit_for_bit(monkeypatch, dtype):
+    dims = DiffusionDims(latent_dim=24, embed_dim=4, time_dim=8, hidden=32)
+    params = _trained_like_denoiser(dims, seed=21)
+    sched, tt, z0, t, eps, cond = _ldm_inputs(dims, 16, seed=22)
+
+    def f(leaves):
+        return ldm_loss(leaves, z0, cond, sched, t, eps, tt)
+
+    node_loss, node_grads = _value_and_leaf_grads(f, params, dtype)
+    node_pred = denoiser_forward(T.param_leaves(params, dtype=dtype), z0, tt[t], cond).data
+    monkeypatch.setattr(diffusion, "denoiser_forward", _graph_denoiser_forward)
+    graph_loss, graph_grads = _value_and_leaf_grads(f, params, dtype)
+    graph_pred = _graph_denoiser_forward(T.param_leaves(params, dtype=dtype), z0, tt[t], cond).data
+
+    assert node_pred.dtype == graph_pred.dtype == dtype
+    assert np.array_equal(node_pred, graph_pred)
+    assert np.array_equal(node_loss, graph_loss)
+    assert sorted(node_grads) == sorted(graph_grads) == sorted(DENOISER_NAMES)
+    for name in DENOISER_NAMES:
+        assert node_grads[name].dtype == graph_grads[name].dtype == dtype
+        assert np.array_equal(node_grads[name], graph_grads[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_denoiser_node_condition_gradient_matches_graph(monkeypatch, dtype):
+    # inversion's path: frozen float32 weights, gradient only into the class half
+    dims = DiffusionDims(latent_dim=24, embed_dim=4, time_dim=8, hidden=32)
+    frozen = _trained_like_denoiser(dims, seed=23)
+    sched, tt, z0, t, eps, _ = _ldm_inputs(dims, 16, seed=24)
+    prompt = stream(25, "prompt").normal(0, 0.3, 4).astype(np.float32)
+    v = ParamSet({"v": stream(26, "v").normal(0, 0.3, 4).astype(np.float32)})
+
+    def f(leaves):
+        return ldm_loss(T.as_leaves(frozen), z0, condition_rows(prompt, leaves["v"], 16), sched, t, eps, tt)
+
+    node_loss, node_grads = _value_and_leaf_grads(f, v, dtype)
+    monkeypatch.setattr(diffusion, "denoiser_forward", _graph_denoiser_forward)
+    graph_loss, graph_grads = _value_and_leaf_grads(f, v, dtype)
+    assert np.array_equal(node_loss, graph_loss)
+    assert node_grads["v"].dtype == graph_grads["v"].dtype == dtype
+    assert np.array_equal(node_grads["v"], graph_grads["v"])
+
+
+def test_pretraining_steps_match_graph_bit_for_bit(monkeypatch, pretrain_corpus):
+    cfg = PretrainConfig(T=20, steps=12, batch=16, hidden=32, seed=27)
+    node = pretrain_diffusion(pretrain_corpus, cfg)
+    monkeypatch.setattr(diffusion, "denoiser_forward", _graph_denoiser_forward)
+    graph = pretrain_diffusion(pretrain_corpus, cfg)
+    assert node.loss_trace == graph.loss_trace
+    assert node.checksum() == graph.checksum()
+    assert (node.probe_initial, node.probe_final) == (graph.probe_initial, graph.probe_final)
+
+
+def test_sample_matches_graph_bit_for_bit(monkeypatch):
+    dims = DiffusionDims(latent_dim=24, embed_dim=4, time_dim=8, hidden=32)
+    params = _trained_like_denoiser(dims, seed=28)
+    sched = build_schedule(15, 1e-4, 0.2)
+    tt = time_embedding_table(15, dims.time_dim)
+    r = stream(29, "cond")
+    cond = ConditionVector(r.normal(0, 0.3, 4).astype(np.float32), r.normal(0, 0.3, 4).astype(np.float32))
+    node = sample(params, cond, 6, sched, stream(30, "s"), tt, clamp=(-np.inf, np.inf))
+    monkeypatch.setattr(diffusion, "denoiser_forward", _graph_denoiser_forward)
+    graph = sample(params, cond, 6, sched, stream(30, "s"), tt, clamp=(-np.inf, np.inf))
+    assert np.array_equal(node, graph)
+
+
+def test_sigmoid_matches_where_form_at_edges():
+    r = stream(31, "silu-edges")
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -1e2, 1e2, -88.0, -104.0, -200.0, 1e-30, -1e-30])
+    for dtype in (np.float32, np.float64):
+        x = np.concatenate([edges, r.normal(0, 4, 300), r.normal(0, 60, 300)]).astype(dtype).reshape(12, 51)
+        with np.errstate(invalid="ignore"):
+            new = T.sigmoid(x)
+            pos = x >= 0
+            e = np.exp(np.where(pos, -x, x))
+            old = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)).astype(dtype)
+        assert new.dtype == dtype
+        # NaN stays NaN (its sign bit is not kept, and a NaN never gets past a
+        # kernel's finite check); every other entry matches to the bit
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        number = ~np.isnan(old)
+        assert np.array_equal(new[number].view(np.uint8), old[number].view(np.uint8))
+        finite = np.isfinite(x)
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal((x * new)[finite], (x * old)[finite])
+        assert np.array_equal(T.silu(T.constant(x[finite])).data, _where_silu(T.constant(x[finite])).data)
+
+
+def test_silu_kernel_gradient_matches_where_form():
+    x = stream(32, "silu-grad").normal(0, 3, (8, 16)).astype(np.float32)
+    ps = ParamSet({"x": x})
+    _, new = evaluate_with_gradients(lambda p: T.tsum(T.square(T.silu(p["x"]))), ps)
+    _, old = evaluate_with_gradients(lambda p: T.tsum(T.square(_where_silu(p["x"]))), ps)
+    assert np.array_equal(new["x"], old["x"])
+
+
+def test_denoiser_overflow_raises_non_finite_naming_the_node():
+    dims = DiffusionDims(latent_dim=8, embed_dim=2, time_dim=4, hidden=16)
+    params = dict(init_denoiser(dims, seed=33))
+    params["den.b_in"] = np.full_like(params["den.b_in"], 100.0)
+    params["den.w_h"] = np.full_like(params["den.w_h"], 1e38)  # 100 * 1e38 overflows float32
+    z = np.ones((2, 8), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteValue) as exc:
+            denoiser_forward(ParamSet(params), z, np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32))
+    assert exc.value.kernel == "denoiser.hidden2"

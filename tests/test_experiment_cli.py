@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dddr.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from dddr import experiment
+from dddr.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from dddr.config import parse_config
 from dddr.corpus import Corpus
 from dddr.experiment import (
@@ -140,6 +141,21 @@ def test_fedewc_runs_and_records_method(tmp_path):
     assert report.method == "fedewc"
 
 
+def test_fedewc_estimates_no_fisher_after_the_last_task(tmp_path, monkeypatch):
+    # the consolidated penalty of task t is read only by tasks after t
+    calls = []
+    real = experiment.fisher_estimate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fisher_estimate", counting)
+    cfg = micro_cfg("experiment.method=fedewc", "ewc.fisher_samples=8", "federation.clients=3")
+    run_fccl(cfg, tmp_path / "ewc")
+    assert len(calls) == 3 * (2 - 1)
+
+
 def test_invert_requires_pretrain_artifact(tmp_path):
     cfg = micro_cfg()
     paths = prepare_run_dir(cfg, tmp_path / "partial")
@@ -195,6 +211,16 @@ def test_cli_exit_codes(tmp_path):
     assert main(args) == EXIT_OK
     assert main(["invert", "--out", str(out)]) == EXIT_DATA
     assert main(["eval", "--out", str(tmp_path / "missing")]) == EXIT_DATA
+
+
+def test_cli_pretraining_divergence_is_a_numeric_error(tmp_path, capsys):
+    # an Adam step of ~1e30 per weight overflows the next step's forward pass
+    args = ["run", "--out", str(tmp_path / "diverge")]
+    args += [f"--set={s}" for s in MICRO + ["diffusion.pretrain_lr=1.0e+30"]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "error: numeric: pretraining diverged at step 1: denoiser.hidden" in err
 
 
 def test_cli_threads_flag_changes_nothing(tmp_path):
