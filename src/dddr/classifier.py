@@ -248,19 +248,20 @@ def loss_kd(
 
 
 def total_objective(terms, weights: LossWeights):
-    """base + w1 * contrastive + w2 * history + w3 * distillation.
+    """ce + w1 * contrastive + w2 * history + w3 * distillation.
 
-    Accepts plain floats or graph Tensors; `terms` is the 4-tuple
-    (ce, scl, pce, kd).
+    `terms` is the 4-tuple (ce, scl, pce, kd) of graph Tensors or plain
+    floats. A Tensor term adds `mul(term, w)`; a float term adds w * term,
+    and a float 0 adds nothing, so an absent term costs no graph node.
     """
-    ce, scl, pce, kd = terms
-    if isinstance(ce, Tensor) or isinstance(scl, Tensor) or isinstance(pce, Tensor) or isinstance(kd, Tensor):
-        out = ce
-        out = out + mul(scl, weights.w1) if isinstance(scl, Tensor) else out + weights.w1 * scl
-        out = out + mul(pce, weights.w2) if isinstance(pce, Tensor) else out + weights.w2 * pce
-        out = out + mul(kd, weights.w3) if isinstance(kd, Tensor) else out + weights.w3 * kd
-        return out
-    return float(ce) + weights.w1 * float(scl) + weights.w2 * float(pce) + weights.w3 * float(kd)
+    ce, *rest = terms
+    out = ce if isinstance(ce, Tensor) else float(ce)
+    for term, w in zip(rest, (weights.w1, weights.w2, weights.w3)):
+        if isinstance(term, Tensor):
+            out = out + mul(term, w)
+        elif term:
+            out = out + w * float(term)
+    return out
 
 
 def ewc_penalty(params, anchor, fisher, lam: float) -> Tensor:
@@ -282,7 +283,6 @@ def ewc_penalty(params, anchor, fisher, lam: float) -> Tensor:
     total = 0.0
     for f, d in zip(fishers, diffs):
         total += (f * (d * d)).sum(dtype=np.float64)
-    out = Tensor(total * scale, _parents=tuple(leaves), op="ewc_penalty")
 
     def _backward(grad: np.ndarray) -> None:
         g = grad * scale
@@ -290,8 +290,7 @@ def ewc_penalty(params, anchor, fisher, lam: float) -> Tensor:
             if leaf.requires_grad:
                 leaf._accumulate(((g * f) * (2.0 * d)).astype(leaf.dtype))
 
-    out._backward = _backward
-    return out
+    return Tensor(total * scale, _parents=tuple(leaves), _backward=_backward, op="ewc_penalty")
 
 
 def fisher_estimate(params: ParamSet, images: np.ndarray, labels: np.ndarray, n_samples: int | None = None) -> ParamSet:

@@ -12,8 +12,10 @@ Subcommands mirror the pipeline stages plus post-processing:
     plot       SVG accuracy-vs-task curve from accuracy.csv
 
 Exit codes: 0 success, 1 usage/config error, 2 data or artifact error,
-3 numeric failure. The output directory defaults to
-<DDDR_OUT or ./runs>/<timestamp>-seed<seed> unless --out is given.
+3 numeric failure, 4 internal error (a bug in the program, such as a read
+of sealed training data; the traceback goes to stderr). The output
+directory defaults to <DDDR_OUT or ./runs>/<timestamp>-seed<seed> unless
+--out is given.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ import argparse
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .corpus import DataFormatError
 from .experiment import (
-    GuardViolation,
     MissingArtifact,
     RunPaths,
     prepare_run_dir,
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,12 +111,16 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericsError, GuardViolation, RuntimeError) as exc:
+    except NumericsError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (MissingArtifact, DataFormatError, CheckpointError, FileNotFoundError, ValueError, KeyError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args: argparse.Namespace) -> int:

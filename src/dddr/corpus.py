@@ -45,10 +45,6 @@ class Corpus:
     def indices_of(self, label: int) -> np.ndarray:
         return np.nonzero(self.labels == label)[0]
 
-    def subset(self, indices) -> "Corpus":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Corpus(self.images[idx], self.labels[idx])
-
 
 def quantize01(images: np.ndarray) -> np.ndarray:
     """Clamp to [0, 1] and snap to the 8-bit grid (k/255)."""

@@ -217,11 +217,6 @@ def denoiser_forward(params, z, temb, cond) -> Tensor:
         act = Tensor(s * sig, requires_grad=needs_grad, op=f"denoiser.silu{i}")
         hidden.append((terms, w[b], s, sig, act))
     out_terms = ((act, w["den.w_out"]), (z, w["den.w_skip"]))
-    out = Tensor(
-        _sum_of_products(out_terms, w["den.b_out"]),
-        _parents=(z, temb, cond, *w.values()),
-        op="denoiser",
-    )
 
     def _backward(grad: np.ndarray) -> None:
         _sum_of_products_backward(out_terms, w["den.b_out"], grad)
@@ -229,8 +224,12 @@ def denoiser_forward(params, z, temb, cond) -> Tensor:
             if act.grad is not None:
                 _sum_of_products_backward(terms, bias, silu_grad(act.grad, s, sig))
 
-    out._backward = _backward
-    return out
+    return Tensor(
+        _sum_of_products(out_terms, w["den.b_out"]),
+        _parents=(z, temb, cond, *w.values()),
+        _backward=_backward,
+        op="denoiser",
+    )
 
 
 @dataclass(frozen=True)

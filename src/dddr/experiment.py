@@ -256,19 +256,18 @@ def stage_invert(cfg: ExperimentConfig, paths: RunPaths) -> None:
 def _client_train_config(cfg: ExperimentConfig) -> ClientTrainConfig:
     method = cfg["experiment"]["method"]
     tr, lo, ab = cfg["training"], cfg["loss"], cfg["ablation"]
+    # the replay ablations act in stage_train, which passes empty replay sets
     if method == "dddr":
-        weights = LossWeights(w1=lo["w1"], w2=lo["w2"], w3=lo["w3"])
+        weights = LossWeights(w1=lo["w1"] if ab["scl"] else 0.0, w2=lo["w2"], w3=lo["w3"])
         return ClientTrainConfig(
             epochs=tr["epochs"], batch=tr["batch"], lr=tr["lr"], optimizer=tr["optimizer"],
             weights=weights, tau=lo["tau"], kd_temperature=lo["kd_temperature"],
-            kd_direction=lo["kd_direction"], use_scl=ab["scl"], use_replay_past=ab["replay_past"],
-            use_replay_current=ab["replay_current"], ewc_lambda=0.0,
+            kd_direction=lo["kd_direction"], ewc_lambda=0.0,
         )
     lam = cfg["ewc"]["lam"] if method == "fedewc" else 0.0
     return ClientTrainConfig(
         epochs=tr["epochs"], batch=tr["batch"], lr=tr["lr"], optimizer=tr["optimizer"],
-        weights=LossWeights(0.0, 0.0, 0.0), use_scl=False, use_replay_past=False,
-        use_replay_current=False, ewc_lambda=lam,
+        weights=LossWeights(0.0, 0.0, 0.0), ewc_lambda=lam,
     )
 
 
@@ -333,7 +332,7 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
             updates = []
             for j in range(k):
                 rec = {"task": t, "round": rnd, "client": j, "samples": 0, "steps": 0}
-                if has_training_data(shards[j], past_pair, cur_pair, ctc):
+                if has_training_data(shards[j], past_pair, cur_pair):
                     update = local_train_client(
                         j, global_params, shards[j], past_pair, cur_pair, snapshot, ewc, ctc,
                         stream(seed, "train", t, rnd, j),
@@ -369,15 +368,7 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
         snapshot = make_snapshot(global_params, t)
         vault.seal_through(t)
 
-        seen = plan.seen_classes(t)
-        row = evaluate_global(
-            global_params,
-            np.concatenate([test_x[c] for c in seen]),
-            np.concatenate([np.full(test_x[c].shape[0], c, dtype=np.int64) for c in seen]),
-            seen,
-        )
-        for c, acc in row.items():
-            matrix.set(t, c, acc)
+        _set_accuracy_row(matrix, t, global_params, plan, test_x)
         paths.classifier_ckpt(t).parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(paths.classifier_ckpt(t), global_params, extra={"task": t, "method": method})
 
@@ -386,6 +377,19 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
     paths.metrics_json.write_text(report.to_json())
     paths.accuracy_csv.write_text(report.accuracy_csv())
     return report
+
+
+def _set_accuracy_row(matrix: AccuracyMatrix, t: int, params: ParamSet, plan: TaskSequencePlan, test_x) -> None:
+    """Row t of the accuracy matrix: each class seen by task t, on its global test images."""
+    seen = plan.seen_classes(t)
+    row = evaluate_global(
+        params,
+        np.concatenate([test_x[c] for c in seen]),
+        np.concatenate([np.full(test_x[c].shape[0], c, dtype=np.int64) for c in seen]),
+        seen,
+    )
+    for c, acc in row.items():
+        matrix.set(t, c, acc)
 
 
 def stream_seed_for_replay(seed: int, task: int) -> int:
@@ -427,15 +431,7 @@ def stage_eval(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
         ckpt = _require(paths.classifier_ckpt(t), "dddr train")
         params, _ = load_checkpoint(ckpt)
         final_params = params
-        seen = plan.seen_classes(t)
-        row = evaluate_global(
-            params,
-            np.concatenate([test_x[c] for c in seen]),
-            np.concatenate([np.full(test_x[c].shape[0], c, dtype=np.int64) for c in seen]),
-            seen,
-        )
-        for c, acc in row.items():
-            matrix.set(t, c, acc)
+        _set_accuracy_row(matrix, t, params, plan, test_x)
     report = _build_report(cfg, plan, corpus, matrix, final_params, 0)
     paths.metrics_eval_json.write_text(report.to_json())
     return report

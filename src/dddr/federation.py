@@ -23,10 +23,11 @@ from .classifier import (
     loss_kd,
     loss_pce,
     loss_scl,
+    total_objective,
 )
 from .optim import apply_gradient_step, make_optimizer
 from .params import ParamSet, weighted_mean_params
-from .tensor import evaluate_with_gradients, mul
+from .tensor import Tensor, evaluate_with_gradients
 
 
 @dataclass
@@ -39,9 +40,6 @@ class ClientTrainConfig:
     tau: float = 0.07
     kd_temperature: float = 1.0
     kd_direction: str = "teacher_ref"
-    use_scl: bool = True
-    use_replay_past: bool = True
-    use_replay_current: bool = True
     ewc_lambda: float = 0.0
 
 
@@ -94,11 +92,11 @@ def local_train_client(
     `has_training_data`). `ewc` is the consolidated penalty of the finished
     tasks; a falsy value means none.
     """
-    if not has_training_data(shard, replay_past, replay_current, cfg):
+    if not has_training_data(shard, replay_past, replay_current):
         raise ValueError(f"client {client_id}: nothing to train on (empty shard and replay sets)")
     real_x, real_y = _flatten_pair(shard)
-    past_x, past_y = _flatten_pair(replay_past) if cfg.use_replay_past else _empty_pair(real_x)
-    cur_x, cur_y = _flatten_pair(replay_current) if cfg.use_replay_current else _empty_pair(real_x)
+    past_x, past_y = _flatten_pair(replay_past)
+    cur_x, cur_y = _flatten_pair(replay_current)
     n_real, n_cur, n_past = real_y.size, cur_y.size, past_y.size
 
     params = global_params
@@ -112,7 +110,6 @@ def local_train_client(
     opt = make_optimizer(cfg.optimizer, cfg.lr)
     term_sums = {"ce": 0.0, "scl": 0.0, "pce": 0.0, "kd": 0.0, "ewc": 0.0, "total": 0.0}
     steps = 0
-    last_terms: dict[str, float] = {}
 
     real_cycle = _Cycler(n_real, rng)
     cur_cycle = _Cycler(n_cur, rng)
@@ -145,28 +142,24 @@ def local_train_client(
             pi = past_cycle.take(min(cfg.batch, n_past)) if n_past else None
 
             def objective(leaves):
-                last_terms.clear()
-                total = loss_ce(leaves, bx, by)
-                last_terms["ce"] = total.item()
-                if cfg.use_scl and cfg.weights.w1 > 0 and by.size >= 2:
+                # a term that is not computed stays 0.0, which adds no node
+                terms = [loss_ce(leaves, bx, by), 0.0, 0.0, 0.0]
+                if cfg.weights.w1 > 0 and by.size >= 2:
                     try:
-                        scl = loss_scl(leaves, bx, by, tau=cfg.tau)
+                        terms[1] = loss_scl(leaves, bx, by, tau=cfg.tau)
                     except AllAnchorsSkipped:
-                        scl = None
-                    if scl is not None:
-                        last_terms["scl"] = scl.item()
-                        total = total + mul(scl, cfg.weights.w1)
+                        pass
                 if pi is not None and cfg.weights.w2 > 0:
-                    pce = loss_pce(leaves, past_x[pi], past_y[pi])
-                    last_terms["pce"] = pce.item()
-                    total = total + mul(pce, cfg.weights.w2)
-                if pi is not None and distill and cfg.weights.w3 > 0:
-                    kd = loss_kd(leaves, snapshot.params, past_x[pi], cfg.kd_temperature, cfg.kd_direction)
-                    last_terms["kd"] = kd.item()
-                    total = total + mul(kd, cfg.weights.w3)
+                    terms[2] = loss_pce(leaves, past_x[pi], past_y[pi])
+                if distill and cfg.weights.w3 > 0:
+                    terms[3] = loss_kd(leaves, snapshot.params, past_x[pi], cfg.kd_temperature, cfg.kd_direction)
+                for key, term in zip(("ce", "scl", "pce", "kd"), terms):
+                    if isinstance(term, Tensor):
+                        term_sums[key] += term.item()
+                total = total_objective(terms, cfg.weights)
                 if use_ewc:
                     pen = ewc_penalty(leaves, ewc.anchor, ewc.fisher, cfg.ewc_lambda)
-                    last_terms["ewc"] = pen.item() + ewc_offset
+                    term_sums["ewc"] += pen.item() + ewc_offset
                     total = total + pen
                 return total
 
@@ -174,8 +167,6 @@ def local_train_client(
             params = apply_gradient_step(params, grads, opt)
             steps += 1
             term_sums["total"] += total_value + ewc_offset
-            for key, value in last_terms.items():
-                term_sums[key] += value
 
     means = {k: (v / steps if steps else 0.0) for k, v in term_sums.items()}
     return ClientUpdate(
@@ -187,18 +178,9 @@ def local_train_client(
     )
 
 
-def has_training_data(
-    shard: tuple[np.ndarray, np.ndarray],
-    replay_past: tuple[np.ndarray, np.ndarray],
-    replay_current: tuple[np.ndarray, np.ndarray],
-    cfg: ClientTrainConfig,
-) -> bool:
-    """Whether a client has any rows to train on: its shard or a replay set it uses."""
-    return bool(
-        np.asarray(shard[1]).size
-        or (cfg.use_replay_past and np.asarray(replay_past[1]).size)
-        or (cfg.use_replay_current and np.asarray(replay_current[1]).size)
-    )
+def has_training_data(*pairs: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether any of a client's (images, labels) pairs, its shard or a replay set, has a row."""
+    return any(np.asarray(labels).size for _, labels in pairs)
 
 
 def aggregate_classifier(updates: list[ClientUpdate]) -> ParamSet:
@@ -219,9 +201,3 @@ def _flatten_pair(pair: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.n
     if y.size == 0:
         return np.zeros((0, 1), dtype=np.float32), y.reshape(0)
     return x.reshape(x.shape[0], -1), y
-
-
-def _empty_pair(like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros((0, like.shape[1] if like.ndim == 2 and like.shape[1] else 1), dtype=np.float32), np.zeros(
-        (0,), dtype=np.int64
-    )

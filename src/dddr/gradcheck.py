@@ -1,10 +1,10 @@
 """Central finite-difference verification of analytic gradients.
 
-The check re-evaluates the graph function on float64 copies of the
-parameters so that the difference quotient is limited by truncation error
-rather than float32 rounding; the analytic gradients being verified are
-computed by the same graph in float64, which exercises identical kernel
-code paths.
+Both sides stay in float64. The analytic gradients come from one backward
+pass of the graph function over float64 leaves, and each difference
+quotient evaluates the same function forward only, on float64 constants,
+so the comparison is limited by truncation error rather than float32
+rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ParamSet
-from .tensor import evaluate_with_gradients
+from .tensor import constant, param_leaves
 
 
 @dataclass
@@ -28,7 +28,7 @@ class GradCheckReport:
         return name, self.max_rel_error[name]
 
 
-def max_relative_error(a: ParamSet, b: ParamSet, floor: float = 1e-8) -> dict[str, float]:
+def max_relative_error(a, b, floor: float = 1e-8) -> dict[str, float]:
     """Per-parameter max of |a-b| / max(|a|, |b|, floor)."""
     out = {}
     for name in a:
@@ -39,28 +39,27 @@ def max_relative_error(a: ParamSet, b: ParamSet, floor: float = 1e-8) -> dict[st
     return out
 
 
-def numeric_gradients(f, params: ParamSet, *inputs, h: float = 1e-3) -> ParamSet:
-    """Central differences of f over every parameter component."""
-    base = params.astype(np.float64)
+def numeric_gradients(f, params: ParamSet, *inputs, h: float = 1e-3) -> dict[str, np.ndarray]:
+    """Central differences of f over every parameter component, as float64 arrays."""
+    base = {name: np.array(params[name], dtype=np.float64) for name in params}
+
+    def value() -> float:
+        return f({name: constant(arr) for name, arr in base.items()}, *inputs).item()
+
     grads = {}
-    for name in params:
-        flat = base[name].reshape(-1)
+    for name, arr in base.items():
+        flat = arr.reshape(-1)
         g = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up, _ = _value_only(f, base, *inputs)
+            up = value()
             flat[i] = orig - h
-            down, _ = _value_only(f, base, *inputs)
+            down = value()
             flat[i] = orig
             g[i] = (up - down) / (2.0 * h)
-        grads[name] = g.reshape(params[name].shape)
-    return ParamSet(grads)
-
-
-def _value_only(f, params64: dict, *inputs):
-    value, grads = evaluate_with_gradients(f, params64, *inputs, dtype=np.float64)
-    return value, grads
+        grads[name] = g.reshape(arr.shape)
+    return grads
 
 
 def finite_difference_check(
@@ -74,7 +73,9 @@ def finite_difference_check(
     difference quotient's truncation error is absolute, so a pure ratio
     would flag near-zero components whose gradients are in fact correct).
     """
-    _, analytic = evaluate_with_gradients(f, params.astype(np.float64), *inputs, dtype=np.float64)
+    leaves = param_leaves(params, dtype=np.float64)
+    f(leaves, *inputs).backward()
+    analytic = {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data) for name, leaf in leaves.items()}
     numeric = numeric_gradients(f, params, *inputs, h=h)
     errors = max_relative_error(analytic, numeric, floor=floor)
     return GradCheckReport(

@@ -48,13 +48,6 @@ class AccuracyMatrix:
                     rows.append((t, c, float(self.values[t, c])))
         return rows
 
-    @classmethod
-    def from_rows(cls, n_tasks: int, n_classes: int, rows) -> "AccuracyMatrix":
-        m = cls(n_tasks, n_classes)
-        for t, c, a in rows:
-            m.set(int(t), int(c), float(a))
-        return m
-
 
 def evaluate_global(
     params: ParamSet, images: np.ndarray, labels: np.ndarray, seen_classes: list[int]

@@ -87,19 +87,6 @@ def _require_same_names(kernel: str, a: ParamSet, b: ParamSet) -> None:
         raise KeyError(f"{kernel}: parameter names differ; only-left={extra_a} only-right={extra_b}")
 
 
-def add_params(a: ParamSet, b: ParamSet) -> ParamSet:
-    _require_same_names("add_params", a, b)
-    return ParamSet({k: a[k] + b[k] for k in a})
-
-
-def scale_params(a: ParamSet, factor: float) -> ParamSet:
-    return ParamSet({k: a[k] * np.float32(factor) for k in a})
-
-
-def zeros_like_params(a: ParamSet) -> ParamSet:
-    return ParamSet({k: np.zeros_like(v) for k, v in a.items()})
-
-
 def weighted_mean_params(sets: list[ParamSet], weights: list[float]) -> ParamSet:
     """Deterministic index-ordered weighted mean with float64 accumulation."""
     if not sets:
@@ -116,10 +103,6 @@ def weighted_mean_params(sets: list[ParamSet], weights: list[float]) -> ParamSet
             acc += ps[name].astype(np.float64) * (w / total)
         out[name] = acc.astype(np.float32)
     return ParamSet(out)
-
-
-def mean_params(sets: list[ParamSet]) -> ParamSet:
-    return weighted_mean_params(sets, [1.0] * len(sets))
 
 
 def params_checksum(a: ParamSet) -> str:

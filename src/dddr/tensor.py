@@ -9,6 +9,11 @@ pieces are single nodes with a hand-written backward built on the same
 array helpers: the EWC penalty (`classifier.ewc_penalty`) and the
 denoiser (`diffusion.denoiser_forward`).
 
+Every kernel, and each of those nodes, hands its backward closure to the
+`Tensor` constructor, which keeps it and the parents only when a parent
+requires a gradient; a graph built over constants holds nothing but its
+values.
+
 Values are float32 by default. Reductions accumulate in float64 before
 casting back, and every kernel validates that its output is finite, so a
 numeric blow-up is reported at the op where it happens instead of
@@ -189,7 +194,6 @@ def add(a: Tensor, b) -> Tensor:
     b = _wrap(b, like=a)
     if not _broadcastable(a.shape, b.shape):
         raise ShapeMismatch("add", a.shape, b.shape)
-    out = Tensor(a.data + b.data, _parents=(a, b), op="add")
 
     def _backward(grad: np.ndarray) -> None:
         if a.requires_grad:
@@ -197,8 +201,7 @@ def add(a: Tensor, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad, b.shape).astype(b.dtype))
 
-    out._backward = _backward
-    return out
+    return Tensor(a.data + b.data, _parents=(a, b), _backward=_backward, op="add")
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -206,7 +209,6 @@ def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b, like=a)
     if not _broadcastable(a.shape, b.shape):
         raise ShapeMismatch("mul", a.shape, b.shape)
-    out = Tensor(a.data * b.data, _parents=(a, b), op="mul")
 
     def _backward(grad: np.ndarray) -> None:
         if a.requires_grad:
@@ -214,15 +216,13 @@ def mul(a: Tensor, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(grad * a.data, b.shape).astype(b.dtype))
 
-    out._backward = _backward
-    return out
+    return Tensor(a.data * b.data, _parents=(a, b), _backward=_backward, op="mul")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch("matmul", a.shape, b.shape)
-    out = Tensor(a.data @ b.data, _parents=(a, b), op="matmul")
 
     def _backward(grad: np.ndarray) -> None:
         if a.requires_grad:
@@ -230,8 +230,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(a.data.T @ grad)
 
-    out._backward = _backward
-    return out
+    return Tensor(a.data @ b.data, _parents=(a, b), _backward=_backward, op="matmul")
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -241,13 +240,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     x = _wrap(x)
-    out = Tensor(np.maximum(x.data, 0), _parents=(x,), op="relu")
 
     def _backward(grad: np.ndarray) -> None:
         x._accumulate(grad * (x.data > 0))
 
-    out._backward = _backward
-    return out
+    return Tensor(np.maximum(x.data, 0), _parents=(x,), _backward=_backward, op="relu")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -270,24 +267,20 @@ def silu_grad(grad: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
 def silu(x: Tensor) -> Tensor:
     x = _wrap(x)
     sig = sigmoid(x.data)
-    out = Tensor(x.data * sig, _parents=(x,), op="silu")
 
     def _backward(grad: np.ndarray) -> None:
         x._accumulate(silu_grad(grad, x.data, sig))
 
-    out._backward = _backward
-    return out
+    return Tensor(x.data * sig, _parents=(x,), _backward=_backward, op="silu")
 
 
 def square(x: Tensor) -> Tensor:
     x = _wrap(x)
-    out = Tensor(x.data * x.data, _parents=(x,), op="square")
 
     def _backward(grad: np.ndarray) -> None:
         x._accumulate(grad * (2.0 * x.data))
 
-    out._backward = _backward
-    return out
+    return Tensor(x.data * x.data, _parents=(x,), _backward=_backward, op="square")
 
 
 def _reduce(x: Tensor, axis, keepdims: bool, op: str, scale_to_mean: bool) -> Tensor:
@@ -301,7 +294,6 @@ def _reduce(x: Tensor, axis, keepdims: bool, op: str, scale_to_mean: bool) -> Te
         raise ShapeMismatch(op, x.shape)
     if scale_to_mean:
         acc = acc / count
-    out = Tensor(acc.astype(x.dtype), _parents=(x,), op=op)
 
     def _backward(grad: np.ndarray) -> None:
         g = np.asarray(grad)
@@ -312,8 +304,7 @@ def _reduce(x: Tensor, axis, keepdims: bool, op: str, scale_to_mean: bool) -> Te
             g = g / count
         x._accumulate(g.astype(x.dtype))
 
-    out._backward = _backward
-    return out
+    return Tensor(acc.astype(x.dtype), _parents=(x,), _backward=_backward, op=op)
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -330,14 +321,12 @@ def softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-    out = Tensor(p, _parents=(x,), op="softmax")
 
     def _backward(grad: np.ndarray) -> None:
         inner = (grad * p).sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
         x._accumulate(p * (grad - inner))
 
-    out._backward = _backward
-    return out
+    return Tensor(p, _parents=(x,), _backward=_backward, op="softmax")
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -345,15 +334,13 @@ def log_softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True, dtype=np.float64)).astype(x.dtype)
     y = shifted - lse
-    out = Tensor(y, _parents=(x,), op="log_softmax")
 
     def _backward(grad: np.ndarray) -> None:
         p = np.exp(y)
         gsum = grad.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
         x._accumulate(grad - p * gsum)
 
-    out._backward = _backward
-    return out
+    return Tensor(y, _parents=(x,), _backward=_backward, op="log_softmax")
 
 
 def l2_normalize(x: Tensor) -> Tensor:
@@ -364,14 +351,12 @@ def l2_normalize(x: Tensor) -> Tensor:
         raise DegenerateInput("l2_normalize: zero vector has no direction")
     norm = np.sqrt(sq).astype(x.dtype)
     y = x.data / norm
-    out = Tensor(y, _parents=(x,), op="l2_normalize")
 
     def _backward(grad: np.ndarray) -> None:
         inner = (grad * y).sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
         x._accumulate((grad - y * inner) / norm)
 
-    out._backward = _backward
-    return out
+    return Tensor(y, _parents=(x,), _backward=_backward, op="l2_normalize")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -384,7 +369,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             d != r for i, (d, r) in enumerate(zip(t.shape, ref)) if i != axis % len(ref)
         ):
             raise ShapeMismatch("concat", *[t.shape for t in tensors])
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), _parents=tuple(tensors), op="concat")
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -395,20 +379,18 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 index[axis] = slice(lo, hi)
                 t._accumulate(grad[tuple(index)])
 
-    out._backward = _backward
-    return out
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    return Tensor(data, _parents=tuple(tensors), _backward=_backward, op="concat")
 
 
 def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
     x = _wrap(x)
     shape = tuple(shape)
-    out = Tensor(x.data.reshape(shape), _parents=(x,), op="reshape")
 
     def _backward(grad: np.ndarray) -> None:
         x._accumulate(grad.reshape(x.shape))
 
-    out._backward = _backward
-    return out
+    return Tensor(x.data.reshape(shape), _parents=(x,), _backward=_backward, op="reshape")
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -416,13 +398,11 @@ def transpose(x: Tensor) -> Tensor:
     x = _wrap(x)
     if x.data.ndim != 2:
         raise ShapeMismatch("transpose", x.shape)
-    out = Tensor(x.data.T.copy(), _parents=(x,), op="transpose")
 
     def _backward(grad: np.ndarray) -> None:
         x._accumulate(grad.T)
 
-    out._backward = _backward
-    return out
+    return Tensor(x.data.T.copy(), _parents=(x,), _backward=_backward, op="transpose")
 
 
 def param_leaves(params, dtype=None) -> dict[str, Tensor]:

@@ -325,8 +325,7 @@ def test_criterion_05_federation_identities():
     # (b) identical clients with identical streams == centralized
     dims = ClassifierDims(input_dim=16, n_classes=4, hidden=8, feature_dim=6, proj_hidden=6, proj_dim=4)
     params = init_classifier(dims, seed=3)
-    cfg = ClientTrainConfig(epochs=2, batch=8, use_scl=False, use_replay_past=False,
-                            use_replay_current=False, weights=LossWeights(0, 0, 0))
+    cfg = ClientTrainConfig(epochs=2, batch=8, weights=LossWeights(0, 0, 0))
     r = stream(ACCEPT_SEED, "accept-fed")
     x = r.uniform(0, 1, (16, 1, 4, 4)).astype(np.float32)
     y = r.integers(0, 4, 16)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dddr import experiment
-from dddr.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from dddr.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from dddr.config import parse_config
 from dddr.corpus import Corpus
 from dddr.experiment import (
@@ -275,3 +275,29 @@ def test_cli_malformed_checkpoint_metadata_is_a_data_error(tmp_path, capsys):
     ckpt.write_bytes(b"DDDRCKPT" + (1).to_bytes(4, "little") + len(meta).to_bytes(4, "little") + meta)
     assert main(["invert", "--out", str(out)]) == EXIT_DATA
     assert "diffusion.ckpt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [RuntimeError("unexpected state"), GuardViolation("read of task 0 raw training data")])
+def test_cli_internal_error_exits_4_with_traceback(tmp_path, monkeypatch, capsys, error):
+    def broken_stage(cfg, paths):
+        raise error
+
+    monkeypatch.setattr("dddr.cli.stage_gen_data", broken_stage)
+    args = ["gen-data", "--out", str(tmp_path / "bug")] + [f"--set={s}" for s in MICRO]
+    assert main(args) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err and "broken_stage" in err
+    assert f"error: internal: {type(error).__name__}: {error}" in err
+
+
+def test_cli_scl_ablation_equals_zero_contrastive_weight(tmp_path):
+    out1, out2 = tmp_path / "no-scl", tmp_path / "w1-zero"
+    assert main(["run", "--out", str(out1)] + [f"--set={s}" for s in MICRO + ["ablation.scl=false"]]) == EXIT_OK
+    assert main(["run", "--out", str(out2)] + [f"--set={s}" for s in MICRO + ["loss.w1=0"]]) == EXIT_OK
+    a = {p.relative_to(out1): p.read_bytes() for p in sorted(out1.rglob("*")) if p.is_file()}
+    b = {p.relative_to(out2): p.read_bytes() for p in sorted(out2.rglob("*")) if p.is_file()}
+    assert a.keys() == b.keys()
+    config = Path("config.effective.yaml")
+    assert a[config] != b[config]
+    for name in a.keys() - {config}:
+        assert a[name] == b[name], f"ablation.scl=false and loss.w1=0 differ in {name}"

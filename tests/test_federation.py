@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dddr.classifier import ClassifierDims, LossWeights, init_classifier, loss_ce, make_snapshot
+from dddr.classifier import ClassifierDims, LossWeights, consolidate_ewc, init_classifier, loss_ce, make_snapshot
 from dddr.federation import ClientTrainConfig, ClientUpdate, aggregate_classifier, local_train_client
 from dddr.params import ParamSet, params_checksum
 from dddr.rng import stream
@@ -73,8 +73,7 @@ def test_zero_epochs_returns_global_params():
 
 def test_identical_inputs_and_stream_give_identical_updates():
     params = init_classifier(DIMS, seed=3)
-    cfg = ClientTrainConfig(epochs=2, batch=8, use_scl=False, use_replay_past=False, use_replay_current=False,
-                            weights=LossWeights(0, 0, 0))
+    cfg = ClientTrainConfig(epochs=2, batch=8, weights=LossWeights(0, 0, 0))
     x, y = shard(2, 12)
     a = local_train_client(0, params, (x, y), EMPTY, EMPTY, None, [], cfg, stream(9, "same"))
     b = local_train_client(1, params, (x, y), EMPTY, EMPTY, None, [], cfg, stream(9, "same"))
@@ -83,8 +82,7 @@ def test_identical_inputs_and_stream_give_identical_updates():
 
 def test_k_identical_clients_match_centralized():
     params = init_classifier(DIMS, seed=3)
-    cfg = ClientTrainConfig(epochs=1, batch=8, use_scl=False, use_replay_past=False, use_replay_current=False,
-                            weights=LossWeights(0, 0, 0))
+    cfg = ClientTrainConfig(epochs=1, batch=8, weights=LossWeights(0, 0, 0))
     x, y = shard(3, 16)
     updates = [
         local_train_client(j, params, (x, y), EMPTY, EMPTY, None, [], cfg, stream(4, "central"))
@@ -98,8 +96,7 @@ def test_k_identical_clients_match_centralized():
 
 def test_training_reduces_objective():
     params = init_classifier(DIMS, seed=5)
-    cfg = ClientTrainConfig(epochs=5, batch=8, lr=3e-3, use_scl=False, use_replay_past=False,
-                            use_replay_current=False, weights=LossWeights(0, 0, 0))
+    cfg = ClientTrainConfig(epochs=5, batch=8, lr=3e-3, weights=LossWeights(0, 0, 0))
     x, y = shard(6, 24, classes=(0, 1, 2))
     flat = x.reshape(24, -1)
     before = loss_ce(params, flat, y).item()
@@ -119,8 +116,7 @@ def test_rejects_all_empty_inputs():
 
 def test_dataless_client_trains_on_generated_current():
     params = init_classifier(DIMS, seed=3)
-    cfg = ClientTrainConfig(epochs=1, batch=8, use_scl=False, use_replay_past=False,
-                            weights=LossWeights(0, 0, 0))
+    cfg = ClientTrainConfig(epochs=1, batch=8, weights=LossWeights(0, 0, 0))
     gen_x, gen_y = shard(7, 12)
     update = local_train_client(
         0, params, (np.zeros((0, 1, 4, 4), np.float32), np.zeros(0, np.int64)),
@@ -144,3 +140,23 @@ def test_replay_terms_engage_with_snapshot():
     for term in ("ce", "scl", "pce", "kd"):
         assert term in update.loss_means and update.loss_means[term] != 0.0
     assert params_checksum(snapshot.params) == snapshot.checksum  # teacher untouched
+
+
+def test_logged_total_is_the_weighted_sum_of_logged_terms():
+    params = init_classifier(DIMS, seed=8)
+    snapshot = make_snapshot(init_classifier(DIMS, seed=9), task_index=0)
+    fisher = ParamSet({k: np.abs(v) for k, v in init_classifier(DIMS, seed=13).items()})
+    ewc = consolidate_ewc([(init_classifier(DIMS, seed=12), fisher)])
+    w = LossWeights(w1=0.8, w2=0.5, w3=2.0)
+    cfg = ClientTrainConfig(epochs=2, batch=6, weights=w, ewc_lambda=3.0)
+    x, y = shard(10, 8, classes=(2, 3))
+    px, py = shard(11, 8, classes=(0, 1))
+    cx, cy = shard(12, 8, classes=(2, 3))
+    update = local_train_client(
+        0, params, (x, y), (px.reshape(8, -1), py), (cx.reshape(8, -1), cy), snapshot, ewc, cfg,
+        stream(3, "weighted-sum")
+    )
+    m = update.loss_means
+    assert all(m[term] != 0.0 for term in ("ce", "scl", "pce", "kd", "ewc"))
+    expected = m["ce"] + w.w1 * m["scl"] + w.w2 * m["pce"] + w.w3 * m["kd"] + m["ewc"]
+    assert m["total"] == pytest.approx(expected, rel=1e-9)

@@ -8,12 +8,9 @@ from dddr.optim import adam, apply_gradient_step, sgd
 from dddr.params import (
     CheckpointError,
     ParamSet,
-    add_params,
     load_checkpoint,
-    mean_params,
     params_checksum,
     save_checkpoint,
-    scale_params,
     weighted_mean_params,
 )
 
@@ -60,13 +57,6 @@ def test_mismatched_names_list_symmetric_difference():
 def test_paramset_orders_names():
     p = ParamSet({"z": np.zeros(1, np.float32), "a": np.zeros(1, np.float32), "m": np.zeros(1, np.float32)})
     assert p.names() == ["a", "m", "z"]
-
-
-def test_param_arithmetic():
-    a, b = ps(x=[1.0, 2.0]), ps(x=[3.0, 4.0])
-    assert np.array_equal(add_params(a, b)["x"], [4.0, 6.0])
-    assert np.array_equal(scale_params(a, 2.0)["x"], [2.0, 4.0])
-    assert np.array_equal(mean_params([a, b])["x"], [2.0, 3.0])
 
 
 def test_weighted_mean_matches_hand_example():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from dddr import gradcheck
 from dddr import tensor as T
+from dddr.classifier import ewc_penalty
+from dddr.diffusion import DiffusionDims, denoiser_forward, init_denoiser
 from dddr.gradcheck import finite_difference_check, max_relative_error, numeric_gradients
 from dddr.params import ParamSet
 from dddr.rng import stream
@@ -165,3 +168,51 @@ def test_transpose_matmul_gradient():
 
     report = finite_difference_check(f, ps, tolerance=1e-3)
     assert report.passed, report.max_rel_error
+
+
+def test_graphs_over_constants_keep_no_backward_or_parents():
+    r = stream(3, "constant-graph")
+    a = T.constant(r.normal(0, 1, (3, 4)))
+    b = T.constant(r.normal(0, 1, (4, 2)))
+    nodes = {
+        "add": T.add(a, a),
+        "mul": T.mul(a, 2.0),
+        "matmul": T.matmul(a, b),
+        "relu": T.relu(a),
+        "silu": T.silu(a),
+        "square": T.square(a),
+        "sum": T.tsum(a, axis=0),
+        "mean": T.tmean(a),
+        "softmax": T.softmax(a),
+        "log_softmax": T.log_softmax(a),
+        "l2_normalize": T.l2_normalize(a),
+        "concat": T.concat([a, a], axis=1),
+        "reshape": T.reshape(a, (4, 3)),
+        "transpose": T.transpose(a),
+    }
+    w = ParamSet({"w": r.normal(0, 1, (3, 4)).astype(np.float32)})
+    nodes["ewc_penalty"] = ewc_penalty(w, w, w, lam=1.0)
+    dims = DiffusionDims(latent_dim=6, embed_dim=2, time_dim=4, hidden=8)
+    den = init_denoiser(dims, seed=1)
+    nodes["denoiser"] = denoiser_forward(
+        den, np.zeros((2, 6), np.float32), np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32)
+    )
+    for op, node in nodes.items():
+        assert not node.requires_grad, op
+        assert node._backward is None and node._parents == (), op
+
+
+def test_gradcheck_compares_float64_gradients(monkeypatch):
+    seen = []
+
+    def recording(a, b, floor=1e-8):
+        seen.append(({n: a[n].dtype for n in a}, {n: b[n].dtype for n in b}))
+        return max_relative_error(a, b, floor=floor)
+
+    monkeypatch.setattr(gradcheck, "max_relative_error", recording)
+    ps = ParamSet({"w": np.array([0.7, -0.4], dtype=np.float32), "b": np.array([[0.1]], dtype=np.float32)})
+    report = finite_difference_check(lambda p: T.tsum(T.square(T.add(p["w"], p["b"]))), ps)
+    assert report.passed
+    (analytic, numeric), = seen
+    assert analytic == {"b": np.float64, "w": np.float64}
+    assert numeric == {"b": np.float64, "w": np.float64}
