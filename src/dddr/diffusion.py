@@ -400,8 +400,7 @@ def pretrain_diffusion(corpus: Corpus, cfg: PretrainConfig) -> PretrainedDiffusi
         return ldm_loss(leaves, z0, cond, sched, t, eps, temb_table)
 
     def probe_loss(ps: ParamSet) -> float:
-        value, _ = evaluate_with_gradients(objective, ps, probe_idx, probe_t, probe_eps)
-        return value
+        return objective(as_leaves(ps), probe_idx, probe_t, probe_eps).item()
 
     probe_initial = probe_loss(params)
     opt = adam(cfg.lr)

@@ -31,7 +31,7 @@ from .corpus import Corpus, dump_corpus, load_corpus
 from .diffusion import PretrainConfig, PretrainedDiffusion, pretrain_diffusion
 from .federation import ClientTrainConfig, aggregate_classifier, has_training_data, local_train_client
 from .idx import load_idx
-from .inversion import EmbeddingStore, InversionConfig, add_gaussian_noise, federated_class_inversion
+from .inversion import InversionConfig, add_gaussian_noise, federated_class_inversion, load_embeddings, save_embeddings
 from .metrics import AccuracyMatrix, MetricsReport, accuracy_curve, average_accuracy, evaluate_global, forgetting_measure, local_client_eval
 from .params import ParamSet, load_checkpoint, params_checksum, save_checkpoint, weighted_mean_params
 from .replay import build_replay_sets, load_cache, save_cache
@@ -239,17 +239,15 @@ def stage_invert(cfg: ExperimentConfig, paths: RunPaths) -> None:
     inv = cfg["inversion"]
     icfg = InversionConfig(rounds=inv["rounds"], local_steps=inv["local_steps"], lr=inv["lr"],
                            batch=inv["batch"], sigma_g=cfg["noise"]["sigma_g"])
-    store = EmbeddingStore(embed_dim=model.dims.embed_dim)
+    table: dict[int, np.ndarray] = {}
     records: list[dict] = []
     k = cfg["federation"]["clients"]
     for t in range(plan.n_tasks):
         shards = [
             {c: vault.class_images(t, j, c) for c in plan.label_sets[t]} for j in range(k)
         ]
-        records += federated_class_inversion(plan.label_sets[t], shards, model, icfg, seed, store, task_index=t)
-    rounds_meta = {str(c): store.entries[c].round_counter for c in store.entries}
-    save_checkpoint(paths.embeddings_ckpt, store.to_paramset(),
-                    extra={"rounds": rounds_meta, "embed_dim": model.dims.embed_dim})
+        records += federated_class_inversion(plan.label_sets[t], shards, model, icfg, seed, table, task_index=t)
+    save_embeddings(paths.embeddings_ckpt, table, icfg.rounds, model.dims.embed_dim)
     _write_jsonl(paths.inversion_log, records)
 
 
@@ -281,13 +279,12 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
     n_classes = len(plan.all_classes())
 
     model: PretrainedDiffusion | None = None
-    store: EmbeddingStore | None = None
+    table: dict[int, np.ndarray] = {}
     if method == "dddr":
         _require(paths.diffusion_ckpt, "dddr pretrain")
         _require(paths.embeddings_ckpt, "dddr invert")
         model = PretrainedDiffusion.load(paths.diffusion_ckpt)
-        emb_params, emb_meta = load_checkpoint(paths.embeddings_ckpt)
-        store = EmbeddingStore.from_paramset(emb_params, int(emb_meta["embed_dim"]), emb_meta)
+        table = load_embeddings(paths.embeddings_ckpt, model.dims.embed_dim)
 
     vault = DataVault(corpus, plan)
     dims = ClassifierDims(input_dim=int(np.prod(corpus.image_shape)), n_classes=n_classes)
@@ -311,7 +308,7 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
         if method == "dddr":
             past_classes = [c for ys in plan.label_sets[:t] for c in ys]
             past_cache, cur_cache = build_replay_sets(
-                store,
+                table,
                 past_classes if cfg["ablation"]["replay_past"] else [],
                 plan.label_sets[t] if cfg["ablation"]["replay_current"] else [],
                 cfg["replay"]["past_per_class"],

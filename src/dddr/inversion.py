@@ -5,41 +5,22 @@ against the frozen denoiser (the denoiser itself is never touched; a
 checksum guards that). The server averages the uploaded embeddings,
 optionally after clients add Gaussian noise for privacy, and broadcasts
 the mean for the next round. Once a task's rounds complete, its
-embeddings freeze and become the only per-class state carried forward.
+embeddings freeze into the class table, a plain `dict[int, ndarray]` of
+float32 `(embed_dim,)` vectors and the only per-class state carried
+forward. `save_embeddings`/`load_embeddings` own its checkpoint layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .diffusion import PretrainedDiffusion, condition_rows, draw_timesteps_and_noise, ldm_loss
 from .optim import adam, apply_gradient_step
-from .params import ParamSet
+from .params import CheckpointError, ParamSet, load_checkpoint, save_checkpoint
 from .rng import stream
 from .tensor import as_leaves, evaluate_with_gradients
-
-
-class NoLocalData(Exception):
-    """The client has no images of the requested class; skip it this round."""
-
-
-class EmbeddingFrozen(Exception):
-    pass
-
-
-@dataclass
-class ClassEmbedding:
-    class_index: int
-    vector: np.ndarray
-    round_counter: int = 0
-    provenance: str = "local"  # "local" | "aggregated"
-
-    def __post_init__(self) -> None:
-        self.vector = np.asarray(self.vector, dtype=np.float32)
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError(f"class {self.class_index}: embedding has non-finite entries")
 
 
 @dataclass
@@ -52,46 +33,32 @@ class InversionConfig:
     init_std: float = 0.1
 
 
-@dataclass
-class EmbeddingStore:
-    """Frozen per-class embeddings."""
+def save_embeddings(path, table: dict[int, np.ndarray], rounds: int, embed_dim: int) -> None:
+    """Write the class -> embedding table as one checkpoint entry `class_NNNNN` per class."""
+    params = ParamSet({f"class_{c:05d}": table[c] for c in table})
+    save_checkpoint(path, params, extra={"rounds": {str(c): rounds for c in table}, "embed_dim": embed_dim})
 
-    embed_dim: int
-    entries: dict[int, ClassEmbedding] = field(default_factory=dict)
 
-    def freeze(self, emb: ClassEmbedding) -> None:
-        if emb.class_index in self.entries:
-            raise EmbeddingFrozen(f"class {emb.class_index} is already frozen in the store")
-        if emb.vector.shape != (self.embed_dim,):
-            raise ValueError(f"class {emb.class_index}: embedding dim {emb.vector.shape} != ({self.embed_dim},)")
-        self.entries[emb.class_index] = emb
+def load_embeddings(path, embed_dim: int) -> dict[int, np.ndarray]:
+    """The class -> embedding table of `save_embeddings`; CheckpointError names the file on a bad entry.
 
-    def get(self, class_index: int) -> ClassEmbedding:
-        if class_index not in self.entries:
-            raise KeyError(f"class {class_index} has no frozen embedding")
-        return self.entries[class_index]
-
-    def classes(self) -> list[int]:
-        return sorted(self.entries)
-
-    def to_paramset(self) -> ParamSet:
-        return ParamSet({f"class_{c:05d}": self.entries[c].vector for c in self.entries})
-
-    @classmethod
-    def from_paramset(cls, params: ParamSet, embed_dim: int, meta: dict | None = None) -> "EmbeddingStore":
-        store = cls(embed_dim=embed_dim)
-        rounds = (meta or {}).get("rounds", {})
-        for name in params:
-            c = int(name.split("_")[1])
-            store.freeze(
-                ClassEmbedding(
-                    class_index=c,
-                    vector=params[name],
-                    round_counter=int(rounds.get(str(c), 0)),
-                    provenance="aggregated",
-                )
-            )
-        return store
+    Only the canonical name `class_NNNNN` is accepted for a class, so no
+    class can appear under two entries.
+    """
+    params, _ = load_checkpoint(path)
+    table: dict[int, np.ndarray] = {}
+    for name in params:
+        digits = name.removeprefix("class_")
+        c = int(digits) if digits.isascii() and digits.isdigit() else -1
+        if name != f"class_{c:05d}":
+            raise CheckpointError(f"{path}: entry {name!r} is not named class_NNNNN")
+        vector = params[name]
+        if vector.shape != (embed_dim,):
+            raise CheckpointError(f"{path}: class {c}: embedding shape {vector.shape} != ({embed_dim},)")
+        if not np.all(np.isfinite(vector)):
+            raise CheckpointError(f"{path}: class {c}: embedding has non-finite entries")
+        table[c] = vector
+    return table
 
 
 def add_gaussian_noise(value, sigma: float, rng: np.random.Generator):
@@ -109,14 +76,14 @@ def add_gaussian_noise(value, sigma: float, rng: np.random.Generator):
 def local_class_inversion(
     shard_images: np.ndarray,
     class_index: int,
-    start: ClassEmbedding,
+    start: np.ndarray,
     steps: int,
     model: PretrainedDiffusion,
     rng: np.random.Generator,
     lr: float = 1e-2,
     batch: int = 16,
     probe_rng: np.random.Generator | None = None,
-) -> tuple[ClassEmbedding, float, float]:
+) -> tuple[np.ndarray, float, float]:
     """Optimize one class embedding on one client's images of that class.
 
     Returns (embedding, loss_start, loss_end); the losses are evaluated on
@@ -128,10 +95,10 @@ def local_class_inversion(
     """
     images = np.asarray(shard_images, dtype=np.float32)
     if images.shape[0] == 0:
-        raise NoLocalData(f"client holds no images of class {class_index}")
+        raise ValueError(f"client holds no images of class {class_index}")
     flat = images.reshape(images.shape[0], -1)
     if steps == 0:
-        return ClassEmbedding(class_index, start.vector.copy(), start.round_counter, "local"), 0.0, 0.0
+        return start.copy(), 0.0, 0.0
 
     denoiser_consts = as_leaves(model.params)  # wrapped and finite-checked once per call
 
@@ -145,8 +112,8 @@ def local_class_inversion(
                          model.temb_table)
         return value.item()
 
-    params = ParamSet({"v": start.vector})
-    loss_start = probe_loss(start.vector)
+    params = ParamSet({"v": start})
+    loss_start = probe_loss(params["v"])
     opt = adam(lr)
     for _ in range(steps):
         idx = rng.integers(0, flat.shape[0], size=min(batch, flat.shape[0]))
@@ -158,31 +125,21 @@ def local_class_inversion(
 
         _, grads = evaluate_with_gradients(objective, params)
         params = apply_gradient_step(params, grads, opt)
-    loss_end = probe_loss(params["v"])
-    return (
-        ClassEmbedding(class_index, params["v"], start.round_counter + 1, "local"),
-        loss_start,
-        loss_end,
-    )
+    return params["v"], loss_start, probe_loss(params["v"])
 
 
-def aggregate_embeddings(uploads: list[ClassEmbedding]) -> ClassEmbedding:
+def aggregate_embeddings(uploads: list[np.ndarray]) -> np.ndarray:
     """Unweighted element-wise mean of the uploads that exist this round."""
     if not uploads:
         raise ValueError("aggregate_embeddings: no uploads (class has no data on any client)")
-    dim = uploads[0].vector.shape
+    dim = uploads[0].shape
     for u in uploads[1:]:
-        if u.vector.shape != dim:
-            raise ValueError(f"aggregate_embeddings: dim mismatch {u.vector.shape} vs {dim}")
+        if u.shape != dim:
+            raise ValueError(f"aggregate_embeddings: dim mismatch {u.shape} vs {dim}")
     acc = np.zeros(dim, dtype=np.float64)
     for u in uploads:
-        acc += u.vector.astype(np.float64)
-    return ClassEmbedding(
-        class_index=uploads[0].class_index,
-        vector=(acc / len(uploads)).astype(np.float32),
-        round_counter=max(u.round_counter for u in uploads),
-        provenance="aggregated",
-    )
+        acc += u.astype(np.float64)
+    return (acc / len(uploads)).astype(np.float32)
 
 
 def federated_class_inversion(
@@ -191,34 +148,35 @@ def federated_class_inversion(
     model: PretrainedDiffusion,
     cfg: InversionConfig,
     seed: int,
-    store: EmbeddingStore,
+    table: dict[int, np.ndarray],
     task_index: int = 0,
 ) -> list[dict]:
-    """Run the round loop for every class of one task and freeze the results.
+    """Run the round loop for every class of one task and add the results to `table`.
 
     client_images_by_class[j][c] is client j's stack of class-c images
     (possibly empty). Clients without data for a class skip it and are
-    excluded from that class's average. Returns the per-round report
+    excluded from that class's average. A class already in `table` was
+    inverted by an earlier task and is frozen. Returns the per-round report
     records (one dict per round, class, client).
     """
     checksum_before = model.checksum()
     k = len(client_images_by_class)
     for c in task_classes:
-        if c in store.entries:
-            raise EmbeddingFrozen(f"class {c} was already inverted in an earlier task")
+        if c in table:
+            raise ValueError(f"class {c} was already inverted in an earlier task")
         total = sum(client_images_by_class[j].get(c, np.zeros((0,))).shape[0] for j in range(k))
         if total == 0:
             raise ValueError(f"class {c} has no samples on any client")
 
-    current: dict[int, ClassEmbedding] = {}
-    for c in sorted(task_classes):
-        init = stream(seed, "invert-init", c).normal(0.0, cfg.init_std, size=model.dims.embed_dim)
-        current[c] = ClassEmbedding(c, init.astype(np.float32), 0, "aggregated")
+    current = {
+        c: stream(seed, "invert-init", c).normal(0.0, cfg.init_std, size=model.dims.embed_dim).astype(np.float32)
+        for c in sorted(task_classes)
+    }
 
     report: list[dict] = []
     for rnd in range(1, cfg.rounds + 1):
         for c in sorted(task_classes):
-            uploads: list[ClassEmbedding] = []
+            uploads: list[np.ndarray] = []
             for j in range(k):
                 images = client_images_by_class[j].get(c)
                 if images is None or images.shape[0] == 0:
@@ -235,15 +193,16 @@ def federated_class_inversion(
                 )
                 if cfg.sigma_g > 0:
                     noise_rng = stream(seed, "invert-noise", task_index, rnd, j, c)
-                    local.vector = add_gaussian_noise(local.vector, cfg.sigma_g, noise_rng)
+                    local = add_gaussian_noise(local, cfg.sigma_g, noise_rng)
                 uploads.append(local)
                 report.append(
                     {"task": task_index, "round": rnd, "class": c, "client": j,
                      "loss_start": loss_start, "loss_end": loss_end, "participated": True}
                 )
             current[c] = aggregate_embeddings(uploads)
-    for c in sorted(task_classes):
-        store.freeze(current[c])
+            if not np.all(np.isfinite(current[c])):
+                raise ValueError(f"class {c}: embedding has non-finite entries")
+    table.update(current)
 
     if model.checksum() != checksum_before:
         raise AssertionError("denoiser or prompt changed during inversion (freeze contract violated)")

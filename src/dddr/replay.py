@@ -1,6 +1,6 @@
 """Generation and caching of replay data from frozen class embeddings.
 
-Replay sets are generated once per task from (store, seed, counts) and
+Replay sets are generated once per task from (class table, seed, counts) and
 served identically to every client; that shared view is what lets the
 generated current-task data soften the label skew between clients.
 """
@@ -15,7 +15,6 @@ import numpy as np
 
 from .corpus import DataFormatError, image_checksum, quantize01, read_pgm, write_pgm
 from .diffusion import ConditionVector, PretrainedDiffusion, sample
-from .inversion import EmbeddingStore
 from .rng import stream
 
 
@@ -41,18 +40,17 @@ class ReplayCache:
 
 
 def generate_class_samples(
-    store: EmbeddingStore, class_index: int, n: int, model: PretrainedDiffusion, seed: int
+    table: dict[int, np.ndarray], class_index: int, n: int, model: PretrainedDiffusion, seed: int
 ) -> np.ndarray:
     """n images of `class_index` from its frozen embedding; deterministic under seed."""
-    emb = store.get(class_index)  # raises KeyError when not frozen
-    cond = ConditionVector(model.prompt, emb.vector)
+    cond = ConditionVector(model.prompt, table[class_index])  # KeyError when not inverted
     rng = stream(seed, "replay-gen", class_index)
     flat = sample(model.params, cond, n, model.sched, rng, model.temb_table)
     return quantize01(flat.reshape((n,) + tuple(model.image_shape)))
 
 
 def build_replay_sets(
-    store: EmbeddingStore,
+    table: dict[int, np.ndarray],
     past_classes: list[int],
     current_classes: list[int],
     past_per_class: int,
@@ -63,10 +61,10 @@ def build_replay_sets(
     """(history cache, current-task cache); the history cache is empty on the first task."""
     past = ReplayCache(seed=seed)
     for c in sorted(past_classes):
-        past.by_class[c] = generate_class_samples(store, c, past_per_class, model, seed)
+        past.by_class[c] = generate_class_samples(table, c, past_per_class, model, seed)
     current = ReplayCache(seed=seed)
     for c in sorted(current_classes):
-        current.by_class[c] = generate_class_samples(store, c, current_per_class, model, seed)
+        current.by_class[c] = generate_class_samples(table, c, current_per_class, model, seed)
     return past, current
 
 

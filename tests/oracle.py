@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ClassifierDims, init_classifier, loss_ce, predict
-from .corpus import Corpus
-from .optim import adam, apply_gradient_step
-from .params import ParamSet
-from .rng import stream
-from .tensor import evaluate_with_gradients
+from dddr.classifier import ClassifierDims, init_classifier, loss_ce, predict
+from dddr.corpus import Corpus
+from dddr.optim import adam, apply_gradient_step
+from dddr.params import ParamSet
+from dddr.rng import stream
+from dddr.tensor import evaluate_with_gradients
 
 
 @dataclass

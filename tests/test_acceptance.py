@@ -31,18 +31,12 @@ from dddr.diffusion import (
 from dddr.experiment import RunPaths, prepare_run_dir, run_fccl, stage_eval, stage_train
 from dddr.federation import ClientTrainConfig, aggregate_classifier, local_train_client
 from dddr.gradcheck import finite_difference_check
-from dddr.inversion import (
-    ClassEmbedding,
-    EmbeddingStore,
-    InversionConfig,
-    aggregate_embeddings,
-    federated_class_inversion,
-)
+from dddr.inversion import InversionConfig, aggregate_embeddings, federated_class_inversion
 from dddr.metrics import MetricsReport, average_accuracy, forgetting_measure
-from dddr.oracle import train_oracle
 from dddr.params import ParamSet
 from dddr.rng import stream
 from dddr.tasks import PartitionSpec, partition_class
+from tests.oracle import train_oracle
 
 ACCEPT_SEED = 42
 
@@ -133,16 +127,16 @@ def run_heldout_inversion(client_corpus, model, sigma_g: float):
     for c in classes:
         for j, part in enumerate(partition_class(client_corpus.indices_of(c), spec, c)):
             shards[j][c] = client_corpus.images[part]
-    store = EmbeddingStore(embed_dim=model.dims.embed_dim)
+    table = {}
     cfg = InversionConfig(rounds=10, local_steps=50, lr=1e-2, sigma_g=sigma_g)
-    federated_class_inversion(classes, shards, model, cfg, seed=ACCEPT_SEED + 2, store=store)
-    return store, classes
+    federated_class_inversion(classes, shards, model, cfg, seed=ACCEPT_SEED + 2, table=table)
+    return table, classes
 
 
-def generation_rate(store, classes, model, oracle, per_class: int = 50) -> float:
+def generation_rate(table, classes, model, oracle, per_class: int = 50) -> float:
     hits = total = 0
     for c in classes:
-        cond = ConditionVector(model.prompt, store.get(c).vector)
+        cond = ConditionVector(model.prompt, table[c])
         flat = sample(model.params, cond, per_class, model.sched, stream(ACCEPT_SEED + 3, "gen", c),
                       model.temb_table)
         images = flat.reshape((per_class,) + tuple(model.image_shape))
@@ -154,8 +148,8 @@ def generation_rate(store, classes, model, oracle, per_class: int = 50) -> float
 @pytest.fixture(scope="session")
 def heldout_inversion_clean(corpora, diffusion_model, client_oracle):
     client_corpus, _ = corpora
-    store, classes = run_heldout_inversion(client_corpus, diffusion_model, sigma_g=0.0)
-    return generation_rate(store, classes, diffusion_model, client_oracle)
+    table, classes = run_heldout_inversion(client_corpus, diffusion_model, sigma_g=0.0)
+    return generation_rate(table, classes, diffusion_model, client_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +307,8 @@ def test_criterion_04_inversion_efficacy(diffusion_model, heldout_inversion_clea
 def test_criterion_05_federation_identities():
     # (a) identical uploads pass through both aggregators unchanged
     vec = np.array([0.5, -1.5, 2.0], dtype=np.float32)
-    emb_agg = aggregate_embeddings([ClassEmbedding(0, vec) for _ in range(4)])
-    ok_a = bool(np.max(np.abs(emb_agg.vector - vec)) <= 1e-6)
+    emb_agg = aggregate_embeddings([vec for _ in range(4)])
+    ok_a = bool(np.max(np.abs(emb_agg - vec)) <= 1e-6)
 
     from dddr.federation import ClientUpdate
 
@@ -338,10 +332,8 @@ def test_criterion_05_federation_identities():
     ok_b = all(np.allclose(agg[n], updates[0].params[n], atol=1e-5) for n in agg)
 
     # (c) hand-computed means
-    emb_mean = aggregate_embeddings(
-        [ClassEmbedding(0, np.array([1.0, 2.0], np.float32)), ClassEmbedding(0, np.array([3.0, 4.0], np.float32))]
-    )
-    ok_c = np.array_equal(emb_mean.vector, np.array([2.0, 3.0], np.float32))
+    emb_mean = aggregate_embeddings([np.array([1.0, 2.0], np.float32), np.array([3.0, 4.0], np.float32)])
+    ok_c = np.array_equal(emb_mean, np.array([2.0, 3.0], np.float32))
     weighted = aggregate_classifier(
         [ClientUpdate(0, ParamSet({"w": np.array([0.0], np.float32)}), 1),
          ClientUpdate(1, ParamSet({"w": np.array([4.0], np.float32)}), 3)]
@@ -416,8 +408,8 @@ def test_criterion_08_ablation(desk_dddr, desk_dir):
 
 def test_criterion_09_noise_robustness(corpora, diffusion_model, client_oracle, heldout_inversion_clean):
     client_corpus, _ = corpora
-    store, classes = run_heldout_inversion(client_corpus, diffusion_model, sigma_g=0.01)
-    noisy_rate = generation_rate(store, classes, diffusion_model, client_oracle)
+    table, classes = run_heldout_inversion(client_corpus, diffusion_model, sigma_g=0.01)
+    noisy_rate = generation_rate(table, classes, diffusion_model, client_oracle)
     drop = heldout_inversion_clean - noisy_rate
     verdict(9, drop <= 0.10,
             f"sigma_g=0.01 generation rate {noisy_rate:.3f} vs clean {heldout_inversion_clean:.3f} "

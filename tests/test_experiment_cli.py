@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from dddr.experiment import (
     stage_train,
 )
 from dddr.metrics import MetricsReport
+from dddr.params import load_checkpoint, save_checkpoint
 from dddr.tasks import PartitionSpec, build_plan
 
 MICRO = [
@@ -275,6 +278,23 @@ def test_cli_malformed_checkpoint_metadata_is_a_data_error(tmp_path, capsys):
     ckpt.write_bytes(b"DDDRCKPT" + (1).to_bytes(4, "little") + len(meta).to_bytes(4, "little") + meta)
     assert main(["invert", "--out", str(out)]) == EXIT_DATA
     assert "diffusion.ckpt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [(np.zeros(3, np.float32), r"class 0: embedding shape \(3,\)"),
+     (np.full(16, np.nan, np.float32), "class 0: embedding has non-finite entries")],
+)
+def test_cli_train_on_a_bad_embedding_is_a_data_error_naming_the_file(micro_run, tmp_path, capsys, vector, message):
+    _, paths, _ = micro_run
+    out = tmp_path / "bad-embedding"
+    shutil.copytree(paths.root, out)
+    ckpt = RunPaths(root=out).embeddings_ckpt
+    params, extra = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, params.replace(class_00000=vector), extra=extra)
+    assert main(["train", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: data: {ckpt}: " in err and re.search(message, err)
 
 
 @pytest.mark.parametrize("error", [RuntimeError("unexpected state"), GuardViolation("read of task 0 raw training data")])

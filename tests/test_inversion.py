@@ -3,17 +3,15 @@ import pytest
 
 from dddr.diffusion import PretrainConfig, pretrain_diffusion
 from dddr.inversion import (
-    ClassEmbedding,
-    EmbeddingFrozen,
-    EmbeddingStore,
     InversionConfig,
-    NoLocalData,
     add_gaussian_noise,
     aggregate_embeddings,
     federated_class_inversion,
+    load_embeddings,
     local_class_inversion,
+    save_embeddings,
 )
-from dddr.params import ParamSet
+from dddr.params import CheckpointError, ParamSet, load_checkpoint, save_checkpoint
 from dddr.rng import stream
 
 
@@ -22,33 +20,32 @@ def frozen_model(pretrain_corpus):
     return pretrain_diffusion(pretrain_corpus, PretrainConfig(steps=250, batch=32, hidden=64, seed=9))
 
 
-def emb(vec, cls=0):
-    return ClassEmbedding(class_index=cls, vector=np.asarray(vec, dtype=np.float32))
+def emb(vec):
+    return np.asarray(vec, dtype=np.float32)
 
 
 def test_aggregate_hand_mean():
     out = aggregate_embeddings([emb([1.0, 2.0]), emb([3.0, 4.0])])
-    assert np.allclose(out.vector, [2.0, 3.0])
-    assert out.provenance == "aggregated"
+    assert np.allclose(out, [2.0, 3.0])
 
 
 def test_aggregate_single_upload_unchanged():
     out = aggregate_embeddings([emb([5.0, -1.0])])
-    assert np.allclose(out.vector, [5.0, -1.0])
+    assert np.allclose(out, [5.0, -1.0])
 
 
 def test_aggregate_idempotent_on_identical_uploads():
     v = [0.25, -0.75, 1.5]
     out = aggregate_embeddings([emb(v), emb(v), emb(v)])
-    assert np.array_equal(out.vector, np.asarray(v, dtype=np.float32))
+    assert np.array_equal(out, np.asarray(v, dtype=np.float32))
 
 
 def test_aggregate_permutation_invariant_and_linear():
     ups = [emb([1.0, 0.0]), emb([0.0, 2.0]), emb([3.0, 3.0])]
-    a = aggregate_embeddings(ups).vector
-    b = aggregate_embeddings(list(reversed(ups))).vector
+    a = aggregate_embeddings(ups)
+    b = aggregate_embeddings(list(reversed(ups)))
     assert np.array_equal(a, b)
-    scaled = aggregate_embeddings([emb(2.0 * u.vector) for u in ups]).vector
+    scaled = aggregate_embeddings([emb(2.0 * u) for u in ups])
     assert np.allclose(scaled, 2.0 * a, atol=1e-6)
 
 
@@ -58,14 +55,14 @@ def test_aggregate_empty_errors():
 
 
 def test_local_inversion_zero_steps_is_identity(frozen_model):
-    start = emb(np.full(16, 0.3), cls=2)
+    start = emb(np.full(16, 0.3))
     images = np.zeros((3, 1, 16, 16), dtype=np.float32)
     out, _, _ = local_class_inversion(images, 2, start, 0, frozen_model, stream(1, "li"))
-    assert np.array_equal(out.vector, start.vector)
+    assert np.array_equal(out, start)
 
 
 def test_local_inversion_no_data_signal(frozen_model):
-    with pytest.raises(NoLocalData):
+    with pytest.raises(ValueError, match="no images of class 1"):
         local_class_inversion(np.zeros((0, 1, 16, 16), dtype=np.float32), 1, emb(np.zeros(16)), 5,
                               frozen_model, stream(1, "li"))
 
@@ -77,7 +74,7 @@ def test_local_inversion_preserves_denoiser(frozen_model, pretrain_corpus):
         images, 0, emb(np.zeros(16)), 30, frozen_model, stream(2, "li"), lr=1e-2
     )
     assert frozen_model.checksum() == before
-    assert not np.array_equal(out.vector, np.zeros(16, dtype=np.float32))
+    assert not np.array_equal(out, np.zeros(16, dtype=np.float32))
 
 
 def test_local_inversion_reduces_loss_on_single_image(frozen_model, pretrain_corpus):
@@ -124,14 +121,14 @@ def test_federated_inversion_identical_clients_equal_single(frozen_model, pretra
     # all clients hold the same shard; aggregate of their (distinct-stream)
     # runs averaged must equal each run when streams are forced identical
     images = pretrain_corpus.images[pretrain_corpus.indices_of(2)][:8]
-    start = emb(stream(5, "init2").normal(0, 0.1, 16), cls=2)
+    start = emb(stream(5, "init2").normal(0, 0.1, 16))
     rng_key = (11, "same-stream")
     locals_ = [
         local_class_inversion(images, 2, start, 25, frozen_model, stream(*rng_key), lr=1e-2)[0]
         for _ in range(3)
     ]
     agg = aggregate_embeddings(locals_)
-    assert np.allclose(agg.vector, locals_[0].vector, atol=1e-6)
+    assert np.allclose(agg, locals_[0], atol=1e-6)
 
 
 def test_federated_rounds_equal_centralized_chunks(frozen_model, pretrain_corpus):
@@ -140,7 +137,7 @@ def test_federated_rounds_equal_centralized_chunks(frozen_model, pretrain_corpus
     images = pretrain_corpus.images[pretrain_corpus.indices_of(1)][:6]
     cls = 1
     rounds, steps = 3, 10
-    start = emb(stream(6, "init3").normal(0, 0.1, 16), cls=cls)
+    start = emb(stream(6, "init3").normal(0, 0.1, 16))
 
     federated = start
     for r in range(rounds):
@@ -156,49 +153,62 @@ def test_federated_rounds_equal_centralized_chunks(frozen_model, pretrain_corpus
         centralized, _, _ = local_class_inversion(images, cls, centralized, steps, frozen_model,
                                                   stream(7, "round", r), lr=1e-2)
 
-    assert np.allclose(federated.vector, centralized.vector, atol=1e-5)
+    assert np.allclose(federated, centralized, atol=1e-5)
 
 
 def test_federated_inversion_loop_and_freeze(frozen_model, pretrain_corpus):
     classes = [0, 1]
     shards = _client_shards(pretrain_corpus, classes, sizes=[6, 6])
-    store = EmbeddingStore(embed_dim=16)
+    table = {}
     cfg = InversionConfig(rounds=3, local_steps=10, lr=1e-2)
-    report = federated_class_inversion(classes, shards, frozen_model, cfg, seed=31, store=store)
-    assert store.classes() == [0, 1]
+    report = federated_class_inversion(classes, shards, frozen_model, cfg, seed=31, table=table)
+    assert sorted(table) == [0, 1]
     r1 = [r["loss_start"] for r in report if r["round"] == 1 and r["participated"]]
     r3 = [r["loss_end"] for r in report if r["round"] == 3 and r["participated"]]
     assert np.mean(r3) < np.mean(r1)
-    with pytest.raises(EmbeddingFrozen):
-        federated_class_inversion([0], shards, frozen_model, cfg, seed=31, store=store)
+    with pytest.raises(ValueError, match="class 0 was already inverted"):
+        federated_class_inversion([0], shards, frozen_model, cfg, seed=31, table=table)
 
 
 def test_federated_inversion_skips_dataless_client(frozen_model, pretrain_corpus):
     shards = _client_shards(pretrain_corpus, [4], sizes=[6, 6])
     shards[1][4] = np.zeros((0, 1, 16, 16), dtype=np.float32)
-    store = EmbeddingStore(embed_dim=16)
     cfg = InversionConfig(rounds=2, local_steps=5, lr=1e-2)
-    report = federated_class_inversion([4], shards, frozen_model, cfg, seed=32, store=store)
+    report = federated_class_inversion([4], shards, frozen_model, cfg, seed=32, table={})
     flags = {(r["client"], r["participated"]) for r in report}
     assert (1, False) in flags and (0, True) in flags
 
 
 def test_federated_inversion_errors_when_class_has_no_data(frozen_model):
     shards = [{6: np.zeros((0, 1, 16, 16), dtype=np.float32)} for _ in range(2)]
-    store = EmbeddingStore(embed_dim=16)
     with pytest.raises(ValueError, match="class 6"):
         federated_class_inversion([6], shards, frozen_model, InversionConfig(rounds=1, local_steps=1),
-                                  seed=33, store=store)
+                                  seed=33, table={})
 
 
-def test_store_paramset_round_trip():
-    store = EmbeddingStore(embed_dim=4)
-    store.freeze(ClassEmbedding(3, np.array([1, 2, 3, 4], np.float32), round_counter=10,
-                                provenance="aggregated"))
-    store.freeze(ClassEmbedding(7, np.array([4, 3, 2, 1], np.float32), round_counter=10,
-                                provenance="aggregated"))
-    ps = store.to_paramset()
-    restored = EmbeddingStore.from_paramset(ps, 4, {"rounds": {"3": 10, "7": 10}})
-    assert restored.classes() == [3, 7]
-    assert np.array_equal(restored.get(3).vector, store.get(3).vector)
-    assert restored.get(7).round_counter == 10
+def test_embeddings_checkpoint_round_trip(tmp_path):
+    table = {7: emb([4, 3, 2, 1]), 3: emb([1, 2, 3, 4])}
+    path = tmp_path / "embeddings.ckpt"
+    save_embeddings(path, table, rounds=10, embed_dim=4)
+    params, meta = load_checkpoint(path)
+    assert params.names() == ["class_00003", "class_00007"]
+    assert meta == {"rounds": {"3": 10, "7": 10}, "embed_dim": 4}
+    restored = load_embeddings(path, embed_dim=4)
+    assert sorted(restored) == [3, 7]
+    assert all(np.array_equal(restored[c], table[c]) for c in table)
+
+
+@pytest.mark.parametrize(
+    "entries, match",
+    [
+        ({"class_00003": emb([1, 2, 3])}, r"class 3: embedding shape \(3,\) != \(4,\)"),
+        ({"class_00003": emb([1, np.nan, 3, 4])}, "class 3: embedding has non-finite entries"),
+        ({"class_3": emb([1, 2, 3, 4])}, "'class_3' is not named class_NNNNN"),
+    ],
+)
+def test_load_embeddings_rejects_a_bad_entry_naming_the_file(tmp_path, entries, match):
+    path = tmp_path / "embeddings.ckpt"
+    save_checkpoint(path, ParamSet(entries))
+    with pytest.raises(CheckpointError, match=match) as info:
+        load_embeddings(path, embed_dim=4)
+    assert str(info.value).startswith(f"{path}: ")

@@ -3,7 +3,6 @@ import pytest
 
 from dddr.corpus import DataFormatError
 from dddr.diffusion import PretrainConfig, pretrain_diffusion
-from dddr.inversion import ClassEmbedding, EmbeddingStore
 from dddr.replay import ReplayCache, build_replay_sets, generate_class_samples, load_cache, save_cache
 
 
@@ -14,10 +13,7 @@ def model(pretrain_corpus):
 
 @pytest.fixture(scope="module")
 def store(model):
-    s = EmbeddingStore(embed_dim=16)
-    for c, v in model.class_embeddings.items():
-        s.freeze(ClassEmbedding(c, v, round_counter=0, provenance="aggregated"))
-    return s
+    return model.class_embeddings
 
 
 def test_generate_counts_labels_and_determinism(store, model):

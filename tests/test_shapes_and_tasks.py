@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dddr.corpus import Corpus
-from dddr.oracle import train_oracle
 from dddr.rng import stream
 from dddr.shapes import CLIENT_STYLE, PRETRAIN_STYLE, ShapeworldSpec, generate_shapeworld
 from dddr.tasks import (
@@ -14,6 +13,7 @@ from dddr.tasks import (
     partition_task,
     split_tasks,
 )
+from tests.oracle import train_oracle
 
 
 def test_shapeworld_deterministic():
