@@ -2,9 +2,19 @@
 
 The classifier is a small MLP: flattened pixels through two relu layers
 into a 64-d feature space, then a linear head over every class the whole
-experiment will ever see (the head is never grown). Losses are graph
-functions over parameter leaves so one implementation serves training,
-gradient checks, and evaluation.
+experiment will ever see (the head is never grown). A projection head
+maps the features to the sphere for the contrastive term.
+
+Each training loss is one tensor-engine node whose parents are the
+parameter leaves, so one implementation serves training, gradient checks
+and evaluation. A node's forward runs the layers in numpy with the array
+operations, dtypes and float64 accumulations of the kernel graph it
+replaced (matmul, add, relu, log-softmax, l2-normalize and the scalar
+tail), and its hand-written backward repeats that graph's reverse sweep
+step for step, so values and gradients keep its bits. Every dense layer's
+sum, the scaled similarities and the node's output are checked for
+non-finite values, and the error names the node and the layer (for
+example `loss_ce.hidden2`).
 """
 
 from __future__ import annotations
@@ -17,20 +27,16 @@ import numpy as np
 from .params import ParamSet, params_checksum
 from .rng import stream
 from .tensor import (
+    DegenerateInput,
     Tensor,
     affine,
+    as_array,
     as_leaves,
+    check_finite,
     constant,
     evaluate_with_gradients,  # noqa: F401  re-exported; perfbench's tracer wraps it here
-    l2_normalize,
-    log_softmax,
-    matmul,
     mul,
     relu,
-    softmax,
-    tmean,
-    transpose,
-    tsum,
 )
 
 
@@ -122,16 +128,15 @@ def logits(params, x) -> Tensor:
     return affine(features(p, x), p["head.w"], p["head.b"])
 
 
-def project(params, feats: Tensor) -> Tensor:
-    p = as_leaves(params)
-    h = relu(affine(feats, p["proj.w1"], p["proj.b1"]))
-    return l2_normalize(affine(h, p["proj.w2"], p["proj.b2"]))
-
-
 def _wrap_input(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return constant(_flatten_images(np.asarray(x)))
+    return constant(_input_rows(x))
+
+
+def _input_rows(x) -> np.ndarray:
+    """Images as the contiguous float32 (N, pixels) rows every forward pass starts from."""
+    return np.ascontiguousarray(_flatten_images(np.asarray(x)))
 
 
 def predict(params: ParamSet, images: np.ndarray) -> np.ndarray:
@@ -148,24 +153,106 @@ def _check_labels(y: np.ndarray, n_classes: int, where: str) -> np.ndarray:
     return y
 
 
-def loss_ce(params, x: np.ndarray, y: np.ndarray) -> Tensor:
-    """Mean cross-entropy of full-softmax logits against integer labels."""
+# (weight, bias, layer name, relu after) of each dense layer a loss node runs
+_TRUNK = (("fe.w1", "fe.b1", "hidden1", True), ("fe.w2", "fe.b2", "hidden2", True))
+_LOGITS = (*_TRUNK, ("head.w", "head.b", "logits", False))
+_PROJECTED = (*_TRUNK, ("proj.w1", "proj.b1", "proj1", True), ("proj.w2", "proj.b2", "proj2", False))
+_PROJECTED_NAMES = tuple(name for w, b, _, _ in _PROJECTED for name in (w, b))
+# the graph's mul(x, -1.0): a Python float wrapped as a float64 array of shape (1,)
+_MINUS_ONE = as_array(-1.0)
+
+
+def _dense_forward(node: str, weights, x: np.ndarray, layers) -> tuple[np.ndarray, list]:
+    """x through `layers` of `weights` (name -> array), as the matmul, add and relu kernels computed it.
+
+    Returns the output and a tape for `_dense_backward`. Each layer's sum
+    is checked for non-finite values (a non-finite product stays
+    non-finite in it), and the error names `node.layer`.
+    """
+    tape = []
+    for w, b, layer, use_relu in layers:
+        s = check_finite(f"{node}.{layer}", x @ weights[w] + weights[b])
+        tape.append((x, w, b, s, use_relu))
+        x = np.maximum(s, 0) if use_relu else s
+    return x, tape
+
+
+def _dense_backward(leaves: dict[str, Tensor], tape: list, grad: np.ndarray) -> None:
+    """Accumulate the leaf gradients of a `_dense_forward` pass, given its output's gradient.
+
+    Per layer, last first, as the graph's reverse sweep did: the relu mask,
+    then the product's gradient in the product's dtype, `x.T @ g` into the
+    weight, a float64 column sum into the bias, and `g @ w.T` in the
+    input's dtype for the layer below (the first layer's input is data).
+    """
+    for i in range(len(tape) - 1, -1, -1):
+        x, w, b, s, use_relu = tape[i]
+        w, b = leaves[w], leaves[b]
+        if use_relu:
+            grad = grad * (s > 0)
+        g = grad.astype(np.result_type(x, w.data), copy=False)
+        if w.requires_grad:
+            w._accumulate(x.T @ g)
+        if b.requires_grad:
+            b._accumulate(grad.sum(axis=0, dtype=np.float64).astype(b.dtype))
+        if i:
+            grad = np.asarray(g @ w.data.T, dtype=x.dtype)
+
+
+def _log_softmax(node: str, x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True, dtype=np.float64)).astype(x.dtype)
+    return check_finite(f"{node}.log_softmax", shifted - lse)
+
+
+def _log_softmax_backward(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient of the log-softmax input, given the output y and its gradient."""
+    gsum = grad.sum(axis=-1, keepdims=True, dtype=np.float64).astype(y.dtype)
+    return np.asarray(grad - np.exp(y) * gsum, dtype=y.dtype)
+
+
+def _mean_backward(grad: np.ndarray, dtype, n: int) -> np.ndarray:
+    """Gradient of the n values a tmean node averaged, given its (1,) output's gradient."""
+    return np.broadcast_to(grad.astype(dtype, copy=False), (n,)) / n
+
+
+def _leaves(p: dict[str, Tensor], names) -> tuple[dict[str, np.ndarray], tuple[Tensor, ...]]:
+    return {name: p[name].data for name in names}, tuple(p[name] for name in names)
+
+
+def _cross_entropy(node: str, params, x: np.ndarray, y: np.ndarray) -> Tensor:
+    """Mean cross-entropy of full-softmax logits against integer labels, as the node `node`."""
     p = as_leaves(params)
-    n_classes = p["head.b"].data.shape[-1]
-    y = _check_labels(y, n_classes, "loss_ce")
+    y = _check_labels(y, p["head.b"].data.shape[-1], node)
     if y.size == 0:
         return constant(0.0)
-    lp = log_softmax(logits(p, x))
-    onehot = np.zeros((y.size, n_classes), dtype=np.float32)
-    onehot[np.arange(y.size), y] = 1.0
-    return mul(tmean(tsum(mul(lp, onehot), axis=-1)), -1.0)
+    weights, parents = _leaves(p, CLASSIFIER_NAMES)
+    z, tape = _dense_forward(node, weights, _input_rows(x), _LOGITS)
+    n, n_classes = z.shape
+    lp = _log_softmax(node, z)
+    onehot = np.zeros((n, n_classes), dtype=np.float32)
+    onehot[np.arange(n), y] = 1.0
+    rows = (lp * onehot).sum(axis=-1, dtype=np.float64).astype(lp.dtype)
+    mean = as_array((rows.sum(dtype=np.float64) / n).astype(lp.dtype))
+
+    def _backward(grad: np.ndarray) -> None:
+        g = _mean_backward(grad * _MINUS_ONE, lp.dtype, n)
+        g_lp = np.broadcast_to(g[:, None], (n, n_classes)) * onehot
+        _dense_backward(p, tape, _log_softmax_backward(lp, g_lp))
+
+    return Tensor(mean * _MINUS_ONE, _parents=parents, _backward=_backward, op=node)
+
+
+def loss_ce(params, x: np.ndarray, y: np.ndarray) -> Tensor:
+    """Mean cross-entropy of full-softmax logits against integer labels."""
+    return _cross_entropy("loss_ce", params, x, y)
 
 
 def loss_pce(params, x: np.ndarray, y: np.ndarray) -> Tensor:
     """Cross-entropy on replayed history; an empty batch contributes zero."""
-    if y is None or np.asarray(y).size == 0:
+    if y is None:
         return constant(0.0)
-    return loss_ce(params, x, y)
+    return _cross_entropy("loss_pce", params, x, y)
 
 
 def supcon_masks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -192,11 +279,14 @@ def supcon_masks(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def loss_scl(params, x: np.ndarray, y: np.ndarray, tau: float = 0.07) -> Tensor:
-    """Supervised contrastive loss over l2-normalized projected features.
+    """Supervised contrastive loss over l2-normalized projected features, as one node.
 
     Mean over anchors of the mean over their positives of
     -log(exp(s_ip / tau) / sum_{j != i} exp(s_ij / tau)), with
-    s_ij the dot product of projected features.
+    s_ij the dot product of projected features. The similarities are
+    scaled in float64 and the masked log-softmax runs in float64, as in
+    the graph this node replaced; a zero projected feature raises
+    `DegenerateInput`.
     """
     y = np.asarray(y, dtype=np.int64)
     if y.size < 2:
@@ -205,11 +295,29 @@ def loss_scl(params, x: np.ndarray, y: np.ndarray, tau: float = 0.07) -> Tensor:
         raise ValueError("loss_scl: temperature must be positive")
     weights, diag_penalty, _ = supcon_masks(y)
     p = as_leaves(params)
-    z = project(p, features(p, x))
-    sims = mul(matmul(z, transpose(z)), 1.0 / tau)
-    masked = sims + constant(diag_penalty)
-    logp = log_softmax(masked)
-    return mul(tsum(mul(logp, constant(weights))), -1.0)
+    values, parents = _leaves(p, _PROJECTED_NAMES)
+    u, tape = _dense_forward("loss_scl", values, _input_rows(x), _PROJECTED)
+    sq = (u.astype(np.float64) ** 2).sum(axis=-1, keepdims=True)
+    if np.any(sq == 0.0):
+        raise DegenerateInput("loss_scl: a projected feature is the zero vector, which has no direction")
+    norm = np.sqrt(sq).astype(u.dtype)
+    z = u / norm
+    z_t = z.T.copy()
+    inv_tau = as_array(1.0 / tau)
+    logp = _log_softmax("loss_scl", check_finite("loss_scl.similarities", (z @ z_t) * inv_tau) + diag_penalty)
+    total = as_array((logp * weights).sum(dtype=np.float64))
+
+    def _backward(grad: np.ndarray) -> None:
+        g = (grad * _MINUS_ONE).astype(total.dtype, copy=False)
+        g_sims = _log_softmax_backward(logp, np.broadcast_to(g, logp.shape) * weights)
+        g_s = (g_sims * inv_tau).astype(z.dtype)
+        # z feeds the product twice, directly and through its transpose
+        g_z = g_s @ z_t.T
+        g_z += (z.T @ g_s).T
+        inner = (g_z * z).sum(axis=-1, keepdims=True, dtype=np.float64).astype(z.dtype)
+        _dense_backward(p, tape, (g_z - z * inner) / norm)
+
+    return Tensor(total * _MINUS_ONE, _parents=parents, _backward=_backward, op="loss_scl")
 
 
 def loss_kd(
@@ -219,32 +327,67 @@ def loss_kd(
     temperature: float = 1.0,
     direction: str = "teacher_ref",
 ) -> Tensor:
-    """KL divergence between the frozen previous-task model and the current one.
+    """KL divergence between the frozen previous-task model and the current one, as one node.
 
     teacher_ref (default) treats the previous model as the reference
     distribution, KL(teacher || student); student_ref uses the opposite
-    order. Gradients flow only into the current parameters.
+    order. Gradients flow only into the current parameters. The teacher's
+    forward runs in plain numpy; the student's logits are scaled by
+    1/temperature in float64. In student_ref the student's logits feed a
+    softmax and a log-softmax branch, and each parameter adds the softmax
+    branch's gradient first, as the graph this node replaced did.
     """
     x = np.asarray(x)
     if x.size == 0:
         return constant(0.0)
     if temperature <= 0:
         raise ValueError("loss_kd: temperature must be positive")
-    t_logits = logits(teacher, x).data / np.float32(temperature)
+    if direction not in ("teacher_ref", "student_ref"):
+        raise ValueError(f"loss_kd: unknown direction {direction!r}")
+    rows = _input_rows(x)
+    t_logits = _dense_forward("loss_kd.teacher", teacher, rows, _LOGITS)[0] / np.float32(temperature)
     t_shift = t_logits - t_logits.max(axis=-1, keepdims=True)
     t_prob = np.exp(t_shift) / np.exp(t_shift).sum(axis=-1, keepdims=True)
     p = as_leaves(params)
-    s_lp = log_softmax(mul(logits(p, x), 1.0 / temperature))
+    values, parents = _leaves(p, CLASSIFIER_NAMES)
+    s_logits, tape = _dense_forward("loss_kd", values, rows, _LOGITS)
+    n, n_classes = s_logits.shape
+    inv_t = as_array(1.0 / temperature)
+    scaled = check_finite("loss_kd.scaled_logits", s_logits * inv_t)
+    s_lp = _log_softmax("loss_kd", scaled)
+
+    def _logits_backward(g_scaled: np.ndarray) -> None:
+        _dense_backward(p, tape, (g_scaled * inv_t).astype(s_logits.dtype))
+
     if direction == "teacher_ref":
         t_entropy = float(np.mean((t_prob * np.log(np.maximum(t_prob, 1e-30))).sum(axis=-1)))
-        cross = tmean(tsum(mul(s_lp, constant(t_prob)), axis=-1))
-        return constant(t_entropy) - cross
-    if direction == "student_ref":
-        s_p = softmax(mul(logits(p, x), 1.0 / temperature))
+        row_sums = (s_lp * t_prob).sum(axis=-1, dtype=np.float64)
+        cross = as_array(row_sums.sum(dtype=np.float64) / n)
+
+        def _backward(grad: np.ndarray) -> None:
+            g = _mean_backward(grad * _MINUS_ONE, cross.dtype, n)
+            g_lp = np.broadcast_to(g[:, None], (n, n_classes)) * t_prob
+            _logits_backward(_log_softmax_backward(s_lp, g_lp))
+
+        value = as_array(t_entropy) + cross * _MINUS_ONE
+    else:
+        shifted = scaled - scaled.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        s_p = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(scaled.dtype)
         t_lp = np.log(np.maximum(t_prob, 1e-30)).astype(np.float32)
-        inner = tsum(mul(s_p, s_lp - constant(t_lp)), axis=-1)
-        return tmean(inner)
-    raise ValueError(f"loss_kd: unknown direction {direction!r}")
+        diff = s_lp + t_lp * _MINUS_ONE
+        inner = (s_p * diff).sum(axis=-1, dtype=np.float64)
+        value = as_array(inner.sum(dtype=np.float64) / n)
+
+        def _backward(grad: np.ndarray) -> None:
+            g = np.broadcast_to(_mean_backward(grad, inner.dtype, n)[:, None], (n, n_classes))
+            g_p = g * diff
+            g_diff = g * s_p
+            dot = (g_p * s_p).sum(axis=-1, keepdims=True, dtype=np.float64).astype(s_p.dtype)
+            _logits_backward(s_p * (g_p - dot))
+            _logits_backward(_log_softmax_backward(s_lp, g_diff))
+
+    return Tensor(value, _parents=parents, _backward=_backward, op="loss_kd")
 
 
 def total_objective(terms, weights: LossWeights):
@@ -270,7 +413,9 @@ def ewc_penalty(params, anchor, fisher, lam: float) -> Tensor:
     The value is computed in float64 whatever the leaves' dtype; each
     leaf's gradient, lam * F * (theta - anchor), is cast to that leaf's
     dtype. `anchor` and `fisher` may map names to float64 arrays, as an
-    `EwcTerm` does, so that a training step converts nothing.
+    `EwcTerm` does, so that a training step converts nothing. The backward
+    forms 2 * (g * F) in place and multiplies it by d; doubling is exact,
+    so this rounds as (g * F) * (2 * d) does, with one temporary array.
     """
     if lam < 0:
         raise ValueError("ewc_penalty: lambda must be >= 0")
@@ -278,17 +423,25 @@ def ewc_penalty(params, anchor, fisher, lam: float) -> Tensor:
     names = [name for name in anchor if name in p]
     leaves = [p[name] for name in names]
     fishers = [np.asarray(fisher[name], dtype=np.float64) for name in names]
-    diffs = [p[name].data - np.asarray(anchor[name], dtype=np.float64) for name in names]
-    scale = np.asarray(0.5 * lam)
+    diffs = []
     total = 0.0
-    for f, d in zip(fishers, diffs):
-        total += (f * (d * d)).sum(dtype=np.float64)
+    for leaf, name, f in zip(leaves, names, fishers):
+        d = leaf.data.astype(np.float64)
+        d -= np.asarray(anchor[name], dtype=np.float64)
+        diffs.append(d)
+        sq = np.square(d)
+        sq *= f
+        total += sq.sum()
+    scale = np.asarray(0.5 * lam)
 
     def _backward(grad: np.ndarray) -> None:
         g = grad * scale
         for leaf, f, d in zip(leaves, fishers, diffs):
             if leaf.requires_grad:
-                leaf._accumulate(((g * f) * (2.0 * d)).astype(leaf.dtype))
+                step = g * f
+                step *= 2.0
+                step *= d
+                leaf._accumulate(step.astype(leaf.dtype))
 
     return Tensor(total * scale, _parents=tuple(leaves), _backward=_backward, op="ewc_penalty")
 

@@ -56,9 +56,6 @@ class ParamSet(Mapping[str, np.ndarray]):
     def names(self) -> list[str]:
         return list(self._data)
 
-    def shapes(self) -> dict[str, tuple]:
-        return {k: v.shape for k, v in self._data.items()}
-
     def size(self) -> int:
         return sum(v.size for v in self._data.values())
 
@@ -175,6 +172,11 @@ def _payload_layout(path, meta) -> list[tuple[str, tuple, int]]:
             raise CheckpointError(f"{path}: metadata {key!r} is missing or not a {kind.__name__}")
     if not all(isinstance(name, str) for name in meta["names"]):
         raise CheckpointError(f"{path}: metadata 'names' holds a non-string entry")
+    seen = set()
+    for name in meta["names"]:
+        if name in seen:
+            raise CheckpointError(f"{path}: metadata 'names' lists parameter {name!r} twice")
+        seen.add(name)
     layout = []
     for name in meta["names"]:
         shape, count = meta["shapes"].get(name), meta["counts"].get(name)

@@ -1,13 +1,14 @@
 """Dense tensors with reverse-mode gradients for a closed kernel set.
 
 The engine supports exactly the kernels the rest of the simulator needs:
-matmul, add, elementwise mul, affine, relu/silu, softmax, log-softmax,
-l2-normalize, mean, sum, square, concat, plus shape-only reshape and
-scalar sugar built from those. There is no general graph compiler; graphs
-are built eagerly by calling these functions on `Tensor` values. Two model
-pieces are single nodes with a hand-written backward built on the same
-array helpers: the EWC penalty (`classifier.ewc_penalty`) and the
-denoiser (`diffusion.denoiser_forward`).
+matmul, add, elementwise mul, affine, relu, mean, sum, square, concat,
+plus shape-only reshape and scalar sugar built from those. There is no
+general graph compiler; graphs are built eagerly by calling these
+functions on `Tensor` values. The model pieces that run many times per
+step are single nodes with a hand-written backward built on the same
+array operations: the denoiser (`diffusion.denoiser_forward`), the
+client loss terms (`classifier.loss_ce`, `loss_pce`, `loss_scl` and
+`loss_kd`) and the EWC penalty (`classifier.ewc_penalty`).
 
 Every kernel, and each of those nodes, hands its backward closure to the
 `Tensor` constructor, which keeps it and the parents only when a parent
@@ -51,7 +52,7 @@ class DegenerateInput(NumericsError):
 
 
 def check_finite(kernel: str, data: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteValue(kernel)
     return data
 
@@ -264,16 +265,6 @@ def silu_grad(grad: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return grad * (sig * (1.0 + x * (1.0 - sig)))
 
 
-def silu(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    sig = sigmoid(x.data)
-
-    def _backward(grad: np.ndarray) -> None:
-        x._accumulate(silu_grad(grad, x.data, sig))
-
-    return Tensor(x.data * sig, _parents=(x,), _backward=_backward, op="silu")
-
-
 def square(x: Tensor) -> Tensor:
     x = _wrap(x)
 
@@ -315,50 +306,6 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _reduce(x, axis, keepdims, "mean", scale_to_mean=True)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis."""
-    x = _wrap(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-
-    def _backward(grad: np.ndarray) -> None:
-        inner = (grad * p).sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-        x._accumulate(p * (grad - inner))
-
-    return Tensor(p, _parents=(x,), _backward=_backward, op="softmax")
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True, dtype=np.float64)).astype(x.dtype)
-    y = shifted - lse
-
-    def _backward(grad: np.ndarray) -> None:
-        p = np.exp(y)
-        gsum = grad.sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-        x._accumulate(grad - p * gsum)
-
-    return Tensor(y, _parents=(x,), _backward=_backward, op="log_softmax")
-
-
-def l2_normalize(x: Tensor) -> Tensor:
-    """Row-wise projection onto the unit sphere (last axis)."""
-    x = _wrap(x)
-    sq = (x.data.astype(np.float64) ** 2).sum(axis=-1, keepdims=True)
-    if np.any(sq == 0.0):
-        raise DegenerateInput("l2_normalize: zero vector has no direction")
-    norm = np.sqrt(sq).astype(x.dtype)
-    y = x.data / norm
-
-    def _backward(grad: np.ndarray) -> None:
-        inner = (grad * y).sum(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-        x._accumulate((grad - y * inner) / norm)
-
-    return Tensor(y, _parents=(x,), _backward=_backward, op="l2_normalize")
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     if not tensors:
@@ -391,18 +338,6 @@ def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
         x._accumulate(grad.reshape(x.shape))
 
     return Tensor(x.data.reshape(shape), _parents=(x,), _backward=_backward, op="reshape")
-
-
-def transpose(x: Tensor) -> Tensor:
-    """2-d transpose (shape-only companion of matmul)."""
-    x = _wrap(x)
-    if x.data.ndim != 2:
-        raise ShapeMismatch("transpose", x.shape)
-
-    def _backward(grad: np.ndarray) -> None:
-        x._accumulate(grad.T)
-
-    return Tensor(x.data.T.copy(), _parents=(x,), _backward=_backward, op="transpose")
 
 
 def param_leaves(params, dtype=None) -> dict[str, Tensor]:

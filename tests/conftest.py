@@ -1,4 +1,5 @@
 import os
+import sys
 
 # one BLAS thread: the suite's results do not depend on it, and a second
 # thread roughly doubles the CPU the suite takes for a few percent of wall time
@@ -14,14 +15,18 @@ from dddr.shapes import CLIENT_STYLE, PRETRAIN_STYLE, ShapeworldSpec, generate_s
 
 
 def pytest_terminal_summary(terminalreporter):
-    """Echo the acceptance verdict lines into the terminal report."""
-    try:
-        from tests.test_acceptance import VERDICT_LINES
-    except ImportError:
-        return
-    if VERDICT_LINES:
+    """Echo the acceptance verdict lines into the terminal report.
+
+    The lines are read from the module the session ran: `tests/` is not a
+    package, so pytest imports the file as the top-level module
+    `test_acceptance`, and importing `tests.test_acceptance` here would load
+    a second copy whose list is empty.
+    """
+    module = sys.modules.get("test_acceptance") or sys.modules.get("tests.test_acceptance")
+    lines = getattr(module, "VERDICT_LINES", None)
+    if lines:
         terminalreporter.section("acceptance criteria")
-        for line in VERDICT_LINES:
+        for line in lines:
             terminalreporter.write_line(line)
 
 

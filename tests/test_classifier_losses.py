@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dddr import classifier
 from dddr.classifier import (
     AllAnchorsSkipped,
     ClassifierDims,
@@ -23,7 +24,18 @@ from dddr.classifier import (
 from dddr.gradcheck import finite_difference_check
 from dddr.params import ParamSet, params_checksum
 from dddr.rng import stream
-from dddr.tensor import as_leaves, constant, evaluate_with_gradients, mul, param_leaves, square, tsum
+from dddr.tensor import (
+    DegenerateInput,
+    NonFiniteValue,
+    Tensor,
+    as_leaves,
+    constant,
+    evaluate_with_gradients,
+    mul,
+    param_leaves,
+    square,
+    tsum,
+)
 
 
 DIMS = ClassifierDims(input_dim=8, n_classes=5, hidden=6, feature_dim=4, proj_hidden=4, proj_dim=3)
@@ -441,3 +453,172 @@ def test_ewc_one_node_matches_graph_form_bit_for_bit(fd_params, dtype, form, wit
             continue
         assert grads[name].dtype == ref_grads[name].dtype == dtype, name
         assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+# -- the loss nodes against the kernel graphs they replaced -------------------
+
+def objective(losses, ewc_fn, leaves, batches, teacher, direction, ewc):
+    """The client objective as `local_train_client` builds it, from `losses`' four terms."""
+    x, y, px, py = batches
+    terms = [losses.loss_ce(leaves, x, y), 0.0, 0.0, 0.0]
+    try:
+        terms[1] = losses.loss_scl(leaves, x, y, tau=0.07)
+    except AllAnchorsSkipped:
+        pass
+    terms[2] = losses.loss_pce(leaves, px, py)
+    terms[3] = losses.loss_kd(leaves, teacher, px, 1.0, direction)
+    total = total_objective(terms, LossWeights(w1=1.0, w2=0.5, w3=10.0))
+    if ewc is not None:
+        total = total + ewc_fn(leaves, *ewc)
+    return [t for t in terms if isinstance(t, Tensor)], total
+
+
+def terms_and_leaf_grads(losses, ewc_fn, params, dtype, *args):
+    leaves = param_leaves(params, dtype=dtype)
+    terms, total = objective(losses, ewc_fn, leaves, *args)
+    total.backward()
+    return [t.data for t in terms] + [total.data], {name: leaf.grad for name, leaf in leaves.items()}
+
+
+def assert_same_bits(node, graph):
+    (values, grads), (ref_values, ref_grads) = node, graph
+    assert len(values) == len(ref_values)
+    for value, ref in zip(values, ref_values):
+        assert value.dtype == ref.dtype and np.array_equal(value, ref), (value, ref)
+    assert sorted(grads) == sorted(ref_grads)
+    for name, ref in ref_grads.items():
+        if ref is None:
+            assert grads[name] is None, name
+            continue
+        assert grads[name].dtype == ref.dtype, name
+        assert np.array_equal(grads[name], ref), name
+
+
+def trained_like(dims, seed):
+    # nonzero biases, so every relu and bias gradient carries signal
+    r = stream(seed, "trained-like-classifier")
+    return ParamSet({k: v + r.normal(0, 0.05, v.shape).astype(np.float32) for k, v in init_classifier(dims, seed).items()})
+
+
+WIDE = ClassifierDims(input_dim=64, n_classes=8, hidden=32, feature_dim=16, proj_hidden=16, proj_dim=8)
+CASES = {
+    "all-terms": dict(labels=[0, 0, 1, 1, 2, 2, 3, 5], past=6),
+    "scl-skipped": dict(labels=[0, 1, 2, 3, 4, 5, 6, 7], past=6),
+    "empty-pce": dict(labels=[0, 0, 1, 1, 2, 2, 3, 5], past=0),
+}
+
+
+@pytest.mark.parametrize("with_ewc", [False, True], ids=["no-ewc", "ewc"])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("direction", ["teacher_ref", "student_ref"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_nodes_match_graph_forms_bit_for_bit(dtype, direction, case, with_ewc):
+    from tests import graph_forms
+
+    r = stream(60, "node-vs-graph", case)
+    params = trained_like(WIDE, seed=61)
+    teacher = trained_like(WIDE, seed=62)
+    if dtype == np.float64:
+        # off the float32 grid, like gradcheck's perturbed copies
+        params = {k: v + r.normal(0, 1e-3, v.shape) for k, v in params.items()}
+    labels = np.asarray(CASES[case]["labels"])
+    x = r.uniform(0, 1, (labels.size, WIDE.input_dim)).astype(np.float32)
+    n_past = CASES[case]["past"]
+    px = r.uniform(0, 1, (n_past, WIDE.input_dim)).astype(np.float32)
+    py = r.integers(0, WIDE.n_classes, n_past)
+    ewc = None
+    if with_ewc:
+        pairs = [(trained_like(WIDE, seed=63 + k), ParamSet({n: np.abs(v) for n, v in trained_like(WIDE, 65 + k).items()}))
+                 for k in range(2)]
+        ewc = (*consolidate_ewc(pairs)[:2], 2.5)
+    args = ((x, labels, px, py), teacher, direction, ewc)
+    node = terms_and_leaf_grads(classifier, ewc_penalty, params, dtype, *args)
+    graph = terms_and_leaf_grads(graph_forms, ewc_penalty_graph, params, dtype, *args)
+    assert len(node[0]) == {"all-terms": 5, "scl-skipped": 4, "empty-pce": 5}[case]
+    assert_same_bits(node, graph)
+
+
+@pytest.mark.parametrize("direction", ["teacher_ref", "student_ref"])
+def test_client_training_matches_graph_forms_bit_for_bit(monkeypatch, direction):
+    from dddr import federation
+    from tests import graph_forms
+
+    dims = ClassifierDims(input_dim=16, n_classes=4, hidden=8, feature_dim=6, proj_hidden=6, proj_dim=4)
+    r = stream(66, "client-node-vs-graph")
+    params = trained_like(dims, seed=67)
+    snapshot = make_snapshot(trained_like(dims, seed=68), task_index=0)
+    shard = (r.uniform(0, 1, (20, 1, 4, 4)).astype(np.float32), r.integers(2, 4, 20))
+    past = (r.uniform(0, 1, (12, 16)).astype(np.float32), r.integers(0, 2, 12))
+    current = (r.uniform(0, 1, (10, 16)).astype(np.float32), r.integers(2, 4, 10))
+    ewc = consolidate_ewc([(trained_like(dims, 69), ParamSet({n: np.abs(v) for n, v in trained_like(dims, 70).items()}))])
+    cfg = federation.ClientTrainConfig(epochs=2, batch=8, kd_direction=direction, ewc_lambda=3.0)
+
+    def train():
+        return federation.local_train_client(0, params, shard, past, current, snapshot, ewc, cfg, stream(71, "steps"))
+
+    node = train()
+    for name in ("loss_ce", "loss_scl", "loss_pce", "loss_kd"):
+        monkeypatch.setattr(federation, name, getattr(graph_forms, name))
+    monkeypatch.setattr(federation, "ewc_penalty", ewc_penalty_graph)
+    graph = train()
+    assert node.steps == graph.steps > 4
+    assert node.loss_means == graph.loss_means
+    assert params_checksum(node.params) == params_checksum(graph.params)
+
+
+def test_ewc_node_under_upstream_gradients_other_than_one_matches_graph_form(fd_params):
+    r = stream(72, "ewc-upstream")
+    anchor, fisher, _ = consolidate_ewc(
+        [(ParamSet({k: r.normal(0, 0.5, v.shape) for k, v in fd_params.items()}),
+          ParamSet({k: np.abs(r.normal(0, 1.0, v.shape)) for k, v in fd_params.items()}))]
+    )
+    for weight in (1.0, 0.3, 0.3, 1.0, 7.25):
+        got, ref = [
+            value_and_leaf_grads(lambda p, pen=pen: mul(pen(p, anchor, fisher, 2.5), weight), fd_params, np.float32, False)
+            for pen in (ewc_penalty, lambda p, a, f, lam: ewc_penalty_graph(p, ParamSet(a), ParamSet(f), lam))
+        ]
+        assert np.array_equal(got[0], ref[0]), weight
+        for name in fd_params:
+            assert np.array_equal(got[1][name], ref[1][name]), (weight, name)
+
+
+def overflowing(params, *names):
+    # 100-valued biases times 1e38 weights overflow float32 in the named layers
+    out = dict(params)
+    for name in names:
+        out[name] = np.full_like(out[name], 1e38 if ".w" in name else 100.0)
+    return ParamSet(out)
+
+
+@pytest.mark.parametrize(
+    "node, kernel",
+    [("loss_ce", "loss_ce.hidden2"), ("loss_pce", "loss_pce.hidden2"), ("loss_scl", "loss_scl.proj2"),
+     ("loss_scl-tau", "loss_scl.similarities"), ("loss_kd", "loss_kd.logits"),
+     ("loss_kd-teacher", "loss_kd.teacher.hidden2"), ("ewc_penalty", "ewc_penalty")],
+)
+def test_loss_node_overflow_names_node_and_layer(fd_params, node, kernel):
+    params = fd_params
+    x, y = batch(73, 4, labels=[0, 0, 1, 1])
+    calls = {
+        "loss_ce": lambda: loss_ce(overflowing(params, "fe.b1", "fe.w2"), x, y),
+        "loss_pce": lambda: loss_pce(overflowing(params, "fe.b1", "fe.w2"), x, y),
+        "loss_scl": lambda: loss_scl(overflowing(params, "proj.b1", "proj.w2"), x, y),
+        "loss_scl-tau": lambda: loss_scl(params, x, y, tau=1e-320),
+        "loss_kd": lambda: loss_kd(overflowing(params, "fe.b2", "head.w"), params, x),
+        "loss_kd-teacher": lambda: loss_kd(params, overflowing(params, "fe.b1", "fe.w2"), x),
+        "ewc_penalty": lambda: ewc_penalty(
+            params, {k: v + 1.0 for k, v in params.items()}, {k: np.full(v.shape, 1e300) for k, v in params.items()}, 1e10
+        ),
+    }
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(NonFiniteValue) as exc:
+            calls[node]()
+    assert exc.value.kernel == kernel
+
+
+def test_scl_zero_projected_feature_is_degenerate(fd_params):
+    params = fd_params
+    x, y = batch(74, 4, labels=[0, 0, 1, 1])
+    zeroed = params.replace(**{"proj.w2": np.zeros_like(params["proj.w2"]), "proj.b2": np.zeros_like(params["proj.b2"])})
+    with pytest.raises(DegenerateInput, match="loss_scl"):
+        loss_scl(zeroed, x, y)

@@ -280,6 +280,24 @@ def test_cli_malformed_checkpoint_metadata_is_a_data_error(tmp_path, capsys):
     assert "diffusion.ckpt" in capsys.readouterr().err
 
 
+def test_cli_eval_on_a_checkpoint_that_repeats_a_name_is_a_data_error(micro_run, tmp_path, capsys):
+    _, paths, _ = micro_run
+    out = tmp_path / "repeated-name"
+    shutil.copytree(paths.root, out)
+    ckpt = RunPaths(root=out).classifier_ckpt(0)
+    params, extra = load_checkpoint(ckpt)
+    # "head.b" listed twice, with a payload for each: sizes add up, so only the name check can refuse it
+    names = params.names() + ["head.b"]
+    meta = {"names": names, "shapes": {k: list(v.shape) for k, v in params.items()},
+            "counts": {k: int(v.size) for k, v in params.items()}, "extra": extra}
+    text = json.dumps(meta, sort_keys=True).encode("utf-8")
+    payload = b"".join(params[name].astype("<f4").tobytes() for name in names)
+    ckpt.write_bytes(b"DDDRCKPT" + (1).to_bytes(4, "little") + len(text).to_bytes(4, "little") + text + payload)
+    assert main(["eval", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: data: {ckpt}: " in err and "'head.b' twice" in err
+
+
 @pytest.mark.parametrize(
     "vector, message",
     [(np.zeros(3, np.float32), r"class 0: embedding shape \(3,\)"),

@@ -129,6 +129,14 @@ def test_checkpoint_malformed_metadata_names_the_file(tmp_path, meta):
         load_checkpoint(path)
 
 
+def test_checkpoint_repeated_name_is_rejected_naming_file_and_name(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    meta = {**GOOD_META, "names": ["a", "a"]}
+    write_checkpoint_with_meta(path, meta, payload=np.array([1.0, 2.0, 3.0, 4.0], "<f4").tobytes())
+    with pytest.raises(CheckpointError, match=r"twice\.ckpt.*'a' twice"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_hand_written_metadata_loads(tmp_path):
     path = tmp_path / "meta.ckpt"
     write_checkpoint_with_meta(path, GOOD_META, payload=np.array([1.0, 2.0], "<f4").tobytes())

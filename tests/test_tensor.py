@@ -3,12 +3,13 @@ import pytest
 
 from dddr import gradcheck
 from dddr import tensor as T
-from dddr.classifier import ewc_penalty
+from dddr.classifier import ClassifierDims, ewc_penalty, init_classifier, loss_ce, loss_kd, loss_pce, loss_scl
 from dddr.diffusion import DiffusionDims, denoiser_forward, init_denoiser
 from dddr.gradcheck import finite_difference_check, max_relative_error, numeric_gradients
 from dddr.params import ParamSet
 from dddr.rng import stream
 from dddr.tensor import evaluate_with_gradients
+from tests import graph_forms
 
 
 def test_square_gradient_analytic():
@@ -61,7 +62,7 @@ def test_corrupted_gradient_fails_check():
 
 def test_softmax_sums_to_one_and_matches_scalar_eval():
     x = T.constant(np.array([[1.0, 2.0, 3.0]], dtype=np.float32))
-    out = T.softmax(x).data[0]
+    out = graph_forms.softmax(x).data[0]
     assert abs(out.sum() - 1.0) < 1e-6
     import math
 
@@ -71,26 +72,26 @@ def test_softmax_sums_to_one_and_matches_scalar_eval():
 
 
 def test_softmax_symmetry():
-    out = T.softmax(T.constant(np.array([[0.0, 0.0]], dtype=np.float32))).data[0]
+    out = graph_forms.softmax(T.constant(np.array([[0.0, 0.0]], dtype=np.float32))).data[0]
     assert out == pytest.approx([0.5, 0.5])
 
 
 def test_log_softmax_is_log_of_softmax():
     x = np.array([[0.3, -1.2, 2.0, 0.0]], dtype=np.float32)
-    ls = T.log_softmax(T.constant(x)).data
-    sm = T.softmax(T.constant(x)).data
+    ls = graph_forms.log_softmax(T.constant(x)).data
+    sm = graph_forms.softmax(T.constant(x)).data
     assert np.allclose(ls, np.log(sm), atol=1e-5)
 
 
 def test_l2_normalize_three_four_five():
-    out = T.l2_normalize(T.constant(np.array([[3.0, 4.0]], dtype=np.float32))).data[0]
+    out = graph_forms.l2_normalize(T.constant(np.array([[3.0, 4.0]], dtype=np.float32))).data[0]
     assert out == pytest.approx([0.6, 0.8])
     assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
 
 def test_l2_normalize_rejects_zero_vector():
     with pytest.raises(T.DegenerateInput):
-        T.l2_normalize(T.constant(np.zeros((1, 3), dtype=np.float32)))
+        graph_forms.l2_normalize(T.constant(np.zeros((1, 3), dtype=np.float32)))
 
 
 def test_shape_mismatch_names_kernel_and_shapes():
@@ -143,12 +144,12 @@ def test_kernel_evaluation_is_deterministic():
     w = r.normal(0, 1, (16, 8)).astype(np.float32)
 
     def run():
-        return T.softmax(T.matmul(T.constant(x), T.constant(w))).data.tobytes()
+        return graph_forms.softmax(T.matmul(T.constant(x), T.constant(w))).data.tobytes()
 
     assert run() == run()
 
 
-@pytest.mark.parametrize("kernel", [T.relu, T.silu, T.square])
+@pytest.mark.parametrize("kernel", [T.relu, graph_forms.silu, T.square])
 def test_elementwise_kernels_match_finite_differences(kernel):
     r = stream(11, "fd-elem", kernel.__name__)
     ps = ParamSet({"w": (r.normal(0, 1.0, 12).astype(np.float32) + 0.05)})
@@ -164,7 +165,7 @@ def test_transpose_matmul_gradient():
     ps = ParamSet({"z": np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)})
 
     def f(p):
-        return T.tsum(T.matmul(p["z"], T.transpose(p["z"])))
+        return T.tsum(T.matmul(p["z"], graph_forms.transpose(p["z"])))
 
     report = finite_difference_check(f, ps, tolerance=1e-3)
     assert report.passed, report.max_rel_error
@@ -179,16 +180,16 @@ def test_graphs_over_constants_keep_no_backward_or_parents():
         "mul": T.mul(a, 2.0),
         "matmul": T.matmul(a, b),
         "relu": T.relu(a),
-        "silu": T.silu(a),
+        "silu": graph_forms.silu(a),
         "square": T.square(a),
         "sum": T.tsum(a, axis=0),
         "mean": T.tmean(a),
-        "softmax": T.softmax(a),
-        "log_softmax": T.log_softmax(a),
-        "l2_normalize": T.l2_normalize(a),
+        "softmax": graph_forms.softmax(a),
+        "log_softmax": graph_forms.log_softmax(a),
+        "l2_normalize": graph_forms.l2_normalize(a),
         "concat": T.concat([a, a], axis=1),
         "reshape": T.reshape(a, (4, 3)),
-        "transpose": T.transpose(a),
+        "transpose": graph_forms.transpose(a),
     }
     w = ParamSet({"w": r.normal(0, 1, (3, 4)).astype(np.float32)})
     nodes["ewc_penalty"] = ewc_penalty(w, w, w, lam=1.0)
@@ -197,6 +198,14 @@ def test_graphs_over_constants_keep_no_backward_or_parents():
     nodes["denoiser"] = denoiser_forward(
         den, np.zeros((2, 6), np.float32), np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32)
     )
+    clf = ParamSet({k: v + r.normal(0, 0.1, v.shape).astype(np.float32)
+                    for k, v in init_classifier(ClassifierDims(8, 3, 6, 4, 4, 3), seed=2).items()})
+    x, y = r.uniform(0, 1, (4, 8)).astype(np.float32), np.array([0, 0, 1, 2])
+    nodes["loss_ce"] = loss_ce(clf, x, y)
+    nodes["loss_pce"] = loss_pce(clf, x, y)
+    nodes["loss_scl"] = loss_scl(clf, x, y)
+    for direction in ("teacher_ref", "student_ref"):
+        nodes[f"loss_kd/{direction}"] = loss_kd(clf, clf, x, direction=direction)
     for op, node in nodes.items():
         assert not node.requires_grad, op
         assert node._backward is None and node._parents == (), op
