@@ -29,14 +29,12 @@ from .rng import stream
 from .tensor import (
     DegenerateInput,
     Tensor,
-    affine,
     as_array,
     as_leaves,
     check_finite,
     constant,
     evaluate_with_gradients,  # noqa: F401  re-exported; perfbench's tracer wraps it here
     mul,
-    relu,
 )
 
 
@@ -117,32 +115,9 @@ def _flatten_images(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
-def features(params, x) -> Tensor:
-    p = as_leaves(params)
-    h = relu(affine(_wrap_input(x), p["fe.w1"], p["fe.b1"]))
-    return relu(affine(h, p["fe.w2"], p["fe.b2"]))
-
-
-def logits(params, x) -> Tensor:
-    p = as_leaves(params)
-    return affine(features(p, x), p["head.w"], p["head.b"])
-
-
-def _wrap_input(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return constant(_input_rows(x))
-
-
 def _input_rows(x) -> np.ndarray:
     """Images as the contiguous float32 (N, pixels) rows every forward pass starts from."""
     return np.ascontiguousarray(_flatten_images(np.asarray(x)))
-
-
-def predict(params: ParamSet, images: np.ndarray) -> np.ndarray:
-    """Argmax class per image (ties resolve to the lowest index)."""
-    out = logits(params, images)
-    return np.argmax(out.data, axis=-1)
 
 
 def _check_labels(y: np.ndarray, n_classes: int, where: str) -> np.ndarray:
@@ -175,6 +150,16 @@ def _dense_forward(node: str, weights, x: np.ndarray, layers) -> tuple[np.ndarra
         tape.append((x, w, b, s, use_relu))
         x = np.maximum(s, 0) if use_relu else s
     return x, tape
+
+
+def predict(params: ParamSet, images: np.ndarray) -> np.ndarray:
+    """Argmax class per image (ties resolve to the lowest index).
+
+    The logits come from `_dense_forward` over the parameter arrays; each
+    layer's sum is finite-checked as `predict.<layer>`.
+    """
+    out, _ = _dense_forward("predict", params, _input_rows(images), _LOGITS)
+    return np.argmax(out, axis=-1)
 
 
 def _dense_backward(leaves: dict[str, Tensor], tape: list, grad: np.ndarray) -> None:

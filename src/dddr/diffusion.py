@@ -9,9 +9,12 @@ half; the embedding half is the only thing later phases are allowed to
 optimize.
 
 The model works on flattened pixels directly: the latent is the image.
-The denoiser is one tensor-engine node with a hand-written backward, so
-pretraining, class inversion and sampling each build a small graph per
-call.
+The denoiser's math is written once, as a numpy forward that keeps a tape
+(`_denoise`) and its backward (`_denoise_backward`). The noise-prediction
+loss (`ldm_loss`) wraps them, with the condition rows, the noising and
+the squared error, in one tensor-engine node, so each pretraining and
+each inversion step builds one node over its leaves; the sampler runs the
+forward alone.
 """
 
 from __future__ import annotations
@@ -30,16 +33,10 @@ from .tensor import (
     Tensor,
     as_leaves,
     check_finite,
-    concat,
     constant,
     evaluate_with_gradients,
-    matmul,
-    reshape,
     sigmoid,
     silu_grad,
-    square,
-    tmean,
-    tsum,
 )
 
 
@@ -155,81 +152,88 @@ _HIDDEN_LAYERS = (
 DENOISER_NAMES = (*_HIDDEN_LAYERS[0], *_HIDDEN_LAYERS[1], "den.w_out", "den.b_out", "den.w_skip")
 
 
-def _sum_of_products(terms, bias: Tensor) -> np.ndarray:
-    """x0 @ w0 + bias + x1 @ w1 + ..., added left to right."""
-    (x0, w0), *rest = terms
-    s = x0.data @ w0.data + bias.data
-    for x, w in rest:
-        s = s + x.data @ w.data
+def _layer_sum(w, terms, bias: str) -> np.ndarray:
+    """x0 @ w[n0] + w[bias] + x1 @ w[n1] + ..., added left to right."""
+    (x0, n0), *rest = terms
+    s = x0 @ w[n0] + w[bias]
+    for x, name in rest:
+        s = s + x @ w[name]
     return s
 
 
-def _sum_of_products_backward(terms, bias: Tensor, grad: np.ndarray) -> None:
-    """Accumulate the gradients of `_sum_of_products` into the operands that need them.
+def _layer_backward(leaves: dict[str, Tensor], terms, bias: str, grad: np.ndarray) -> list:
+    """Accumulate a `_layer_sum`'s weight and bias gradients; return its inputs' gradients.
 
-    The graph form held each product's and each partial sum's gradient in
-    that array's dtype. No operand is wider than the sum it feeds, so that
-    chain of casts equals one cast of `grad` to the array's dtype.
+    `terms` pairs each input with its weight name and whether the input
+    wants a gradient; an input that does not gets None. The graph form
+    held each product's and each partial sum's gradient in that array's
+    dtype. No operand is wider than the sum it feeds, so that chain of
+    casts equals one cast of `grad` to the array's dtype.
     """
-    for x, w in terms:
-        if x.requires_grad or w.requires_grad:
-            g = grad.astype(np.result_type(x.data, w.data), copy=False)
+    grads = []
+    for x, name, wanted in terms:
+        w, g_x = leaves[name], None
+        if wanted or w.requires_grad:
+            g = grad.astype(np.result_type(x, w.data), copy=False)
             if w.requires_grad:
-                w._accumulate(x.data.T @ g)
-            if x.requires_grad:
-                x._accumulate(g @ w.data.T)
-    if bias.requires_grad:
-        x0, w0 = terms[0]
-        g = grad.astype(np.result_type(x0.data, w0.data, bias.data), copy=False)
-        bias._accumulate(g.sum(axis=0, dtype=np.float64).astype(bias.dtype))
+                w._accumulate(x.T @ g)
+            if wanted:
+                g_x = np.asarray(g @ w.data.T, dtype=x.dtype)
+        grads.append(g_x)
+    b = leaves[bias]
+    if b.requires_grad:
+        x0, name0, _ = terms[0]
+        g = grad.astype(np.result_type(x0, leaves[name0].data, b.data), copy=False)
+        b._accumulate(g.sum(axis=0, dtype=np.float64).astype(b.dtype))
+    return grads
 
 
-def denoiser_forward(params, z, temb, cond) -> Tensor:
-    """Predicted noise for a noised latent batch, as one graph node.
+def _denoise(w, z: np.ndarray, temb: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Predicted noise for a noised latent batch, and the tape for `_denoise_backward`.
 
-    z: (B, D) latent, temb: (B, time_dim) timestep embedding rows,
-    cond: (B, 2 * embed_dim) condition rows. Any of them may be graph
-    tensors; the condition is the differentiable path during inversion.
-    The timestep and condition enter both hidden layers additively, and a
-    linear skip from z to the output keeps the map full-rank:
+    w maps `DENOISER_NAMES` to arrays; z: (B, D) latents, temb:
+    (B, time_dim) timestep embedding rows, cond: (B, 2 * embed_dim)
+    condition rows. The timestep and condition enter both hidden layers
+    additively, and a linear skip from z to the output keeps the map
+    full-rank:
 
         h  = silu(z @ w_in + b_in + temb @ w_time + cond @ w_cond)
         h2 = silu(h @ w_h + b_h + temb @ w_time2 + cond @ w_cond2)
         out = h2 @ w_out + b_out + z @ w_skip
 
-    The layers run in numpy in the order of the graph of matmul, add and
-    silu kernels they replace, and the hand-written backward gives
-    gradients only to the parents that require them, so values and
-    gradients match that graph bit for bit. Each layer's sum is checked
-    for non-finite values (a non-finite product or partial sum stays
-    non-finite in it), and the error names the layer.
+    Each layer's sum is checked for non-finite values (a non-finite
+    product or partial sum stays non-finite in it), and the error names
+    the layer: `denoiser.hidden1`, `denoiser.hidden2`, `denoiser.out`.
     """
-    p = as_leaves(params)
-    z, temb, cond = (x if isinstance(x, Tensor) else constant(np.asarray(x, dtype=np.float32)) for x in (z, temb, cond))
-    w = {name: p[name] for name in DENOISER_NAMES}
-    hidden = []  # (terms, bias, pre-activation, its sigmoid, activation) per hidden layer
+    hidden = []  # (layer input, pre-activation, its sigmoid) per hidden layer
     act = z
     for i, (w_x, b, w_t, w_c) in enumerate(_HIDDEN_LAYERS, start=1):
-        terms = ((act, w[w_x]), (temb, w[w_t]), (cond, w[w_c]))
-        s = check_finite(f"denoiser.hidden{i}", _sum_of_products(terms, w[b]))
+        s = check_finite(f"denoiser.hidden{i}", _layer_sum(w, ((act, w_x), (temb, w_t), (cond, w_c)), b))
         sig = sigmoid(s)
-        needs_grad = w[b].requires_grad or any(x.requires_grad or m.requires_grad for x, m in terms)
-        act = Tensor(s * sig, requires_grad=needs_grad, op=f"denoiser.silu{i}")
-        hidden.append((terms, w[b], s, sig, act))
-    out_terms = ((act, w["den.w_out"]), (z, w["den.w_skip"]))
+        hidden.append((act, s, sig))
+        act = s * sig
+    out = check_finite("denoiser.out", _layer_sum(w, ((act, "den.w_out"), (z, "den.w_skip")), "den.b_out"))
+    return out, (z, temb, cond, hidden, act)
 
-    def _backward(grad: np.ndarray) -> None:
-        _sum_of_products_backward(out_terms, w["den.b_out"], grad)
-        for terms, bias, s, sig, act in reversed(hidden):
-            if act.grad is not None:
-                _sum_of_products_backward(terms, bias, silu_grad(act.grad, s, sig))
 
-    return Tensor(
-        _sum_of_products(out_terms, w["den.b_out"]),
-        _parents=(z, temb, cond, *w.values()),
-        _backward=_backward,
-        op="denoiser",
-    )
+def _denoise_backward(leaves: dict[str, Tensor], tape: tuple, grad: np.ndarray, cond_grad: bool):
+    """Accumulate the weight gradients of a `_denoise` pass, given its output's gradient.
+
+    Returns the condition rows' gradient if `cond_grad`, else None. The
+    layers run last first, and the condition's two gradients add in that
+    order, as the graph of matmul, add and silu kernels the denoiser once
+    was did; only the weights that require a gradient receive one.
+    """
+    z, temb, cond, hidden, act = tape
+    g_act, _ = _layer_backward(leaves, ((act, "den.w_out", True), (z, "den.w_skip", False)), "den.b_out", grad)
+    g_cond = None
+    for (w_x, b, w_t, w_c), (x, s, sig) in zip(reversed(_HIDDEN_LAYERS), reversed(hidden)):
+        # the first layer's input is the noised latent, which takes no gradient
+        terms = ((x, w_x, x is not z), (temb, w_t, False), (cond, w_c, cond_grad))
+        g_act, _, g_c = _layer_backward(leaves, terms, b, silu_grad(g_act, s, sig))
+        if g_c is not None:
+            g_cond = g_c if g_cond is None else g_cond + g_c
+    return g_cond
 
 
 @dataclass(frozen=True)
@@ -243,32 +247,53 @@ class ConditionVector:
         return np.concatenate([self.prompt, self.class_part]).astype(np.float32)
 
 
-def condition_rows(prompt: np.ndarray, class_part, batch: int):
-    """(B, 2 * d_e) condition rows; keeps the class half differentiable if it is a Tensor."""
-    prompt_rows = constant(np.tile(np.asarray(prompt, dtype=np.float32), (batch, 1)))
-    if isinstance(class_part, Tensor):
-        row = reshape(class_part, (1, class_part.data.size))
-        class_rows = matmul(constant(np.ones((batch, 1), dtype=np.float32)), row)
-    else:
-        class_rows = constant(np.tile(np.asarray(class_part, dtype=np.float32), (batch, 1)))
-    return concat([prompt_rows, class_rows], axis=1)
-
-
 def draw_timesteps_and_noise(rng: np.random.Generator, batch: int, latent_dim: int, T: int):
     t = rng.integers(1, T + 1, size=batch)
     eps = rng.standard_normal((batch, latent_dim)).astype(np.float32)
     return t, eps
 
 
-def ldm_loss(params, z0: np.ndarray, cond_rows, sched: NoiseSchedule, t: np.ndarray, eps: np.ndarray, temb_table: np.ndarray) -> Tensor:
-    """Noise-prediction objective: mean over the batch of ||eps - eps_hat||^2."""
+def ldm_loss(params, z0: np.ndarray, prompt: np.ndarray, table, slots: np.ndarray, sched: NoiseSchedule,
+             t: np.ndarray, eps: np.ndarray, temb_table: np.ndarray) -> Tensor:
+    """Noise-prediction objective, the batch mean of ||eps - eps_hat||^2, as one graph node.
+
+    Row i is conditioned on the prompt beside row `slots[i]` of the class
+    `table` (a Tensor or an array; a 1-d table is one row, inversion's
+    vector). The node noises z0 with `forward_diffuse`, runs the denoiser
+    and takes the squared error in float64. Its parents are the denoiser
+    leaves of `params` and the table; the backward repeats the reverse
+    sweep of the kernel graph this node replaced (subtract, square, sum,
+    mean, the denoiser, concat and the one-hot product), so the value and
+    every leaf gradient keep that graph's bits. The table's gradient is
+    `onehot.T @ g` of the class half of the condition rows' gradient.
+    """
     z0 = np.asarray(z0, dtype=np.float32)
     if z0.ndim != 2 or z0.shape[0] == 0:
         raise ValueError("ldm_loss: z0 must be a non-empty (B, D) batch")
+    p = as_leaves(params)
+    leaves = {name: p[name] for name in DENOISER_NAMES}
+    table = table if isinstance(table, Tensor) else constant(table)
+    n = z0.shape[0]
+    table_rows = table.data.reshape(-1, table.shape[-1])
+    onehot = np.zeros((n, table_rows.shape[0]), dtype=np.float32)
+    onehot[np.arange(n), slots] = 1.0
+    prompt_rows = np.tile(np.asarray(prompt, dtype=np.float32), (n, 1))
+    cond = np.concatenate([prompt_rows, onehot @ table_rows], axis=1)
     z_t = forward_diffuse(z0, t, eps, sched)
-    pred = denoiser_forward(params, z_t, temb_table[np.asarray(t)], cond_rows)
-    diff = pred - constant(eps)
-    return tmean(tsum(square(diff), axis=-1))
+    pred, tape = _denoise({name: leaf.data for name, leaf in leaves.items()}, z_t, temb_table[np.asarray(t)], cond)
+    diff = pred - np.asarray(eps, dtype=np.float64)  # the squared error runs in float64
+    rows = (diff * diff).sum(axis=-1, dtype=np.float64)
+
+    def _backward(grad: np.ndarray) -> None:
+        g_rows = np.broadcast_to(grad, (n,)) / n
+        g_pred = (np.broadcast_to(g_rows[:, None], diff.shape) * (2.0 * diff)).astype(pred.dtype)
+        g_cond = _denoise_backward(leaves, tape, g_pred, table.requires_grad)
+        if g_cond is not None:
+            g_class = g_cond[:, prompt_rows.shape[1]:].copy()
+            table._accumulate((onehot.T @ g_class).reshape(table.shape))
+
+    return Tensor(rows.sum(dtype=np.float64) / n, _parents=(*leaves.values(), table), _backward=_backward,
+                  op="ldm_loss")
 
 
 @dataclass
@@ -391,13 +416,8 @@ def pretrain_diffusion(corpus: Corpus, cfg: PretrainConfig) -> PretrainedDiffusi
     probe_t, probe_eps = draw_timesteps_and_noise(probe_rng, probe_idx.size, latent_dim, cfg.T)
 
     def objective(leaves, batch_idx, t, eps):
-        z0 = flat[batch_idx]
-        onehot = np.zeros((batch_idx.size, len(classes)), dtype=np.float32)
-        onehot[np.arange(batch_idx.size), slots[batch_idx]] = 1.0
-        class_rows = matmul(constant(onehot), leaves["emb.class"])
-        prompt_rows = constant(np.tile(prompt, (batch_idx.size, 1)))
-        cond = concat([prompt_rows, class_rows], axis=1)
-        return ldm_loss(leaves, z0, cond, sched, t, eps, temb_table)
+        return ldm_loss(leaves, flat[batch_idx], prompt, leaves["emb.class"], slots[batch_idx], sched, t, eps,
+                        temb_table)
 
     def probe_loss(ps: ParamSet) -> float:
         return objective(as_leaves(ps), probe_idx, probe_t, probe_eps).item()
@@ -415,9 +435,14 @@ def pretrain_diffusion(corpus: Corpus, cfg: PretrainConfig) -> PretrainedDiffusi
         params = apply_gradient_step(params, grads, opt)
         trace.append(loss)
 
+    try:
+        probe_final = probe_loss(params)
+    except NonFiniteValue as exc:  # the last step's update overflowed the weights
+        raise PretrainingDiverged(cfg.steps, exc.kernel) from exc
+
     denoiser = ParamSet({k: v for k, v in params.items() if k.startswith("den.")})
     embeddings = {c: params["emb.class"][class_to_slot[c]].copy() for c in classes}
-    model = PretrainedDiffusion(
+    return PretrainedDiffusion(
         params=denoiser,
         prompt=prompt,
         class_embeddings=embeddings,
@@ -427,9 +452,8 @@ def pretrain_diffusion(corpus: Corpus, cfg: PretrainConfig) -> PretrainedDiffusi
         image_shape=tuple(corpus.image_shape),
         loss_trace=trace,
         probe_initial=probe_initial,
+        probe_final=probe_final,
     )
-    model.probe_final = probe_loss(params)
-    return model
 
 
 def sample(
@@ -446,13 +470,14 @@ def sample(
         raise ValueError("sample: n must be >= 1")
     latent_dim = params["den.b_out"].shape[0]
     leaves = as_leaves(params)  # the frozen weights, wrapped and checked once per call
-    cond_rows = constant(np.tile(cond.combined(), (n, 1)))
+    weights = {name: leaves[name].data for name in DENOISER_NAMES}
+    cond_rows = np.tile(cond.combined(), (n, 1))
     z = rng.standard_normal((n, latent_dim)).astype(np.float32)
     for t in range(sched.T, 0, -1):
         beta = sched.beta(t)
         ab = sched.alpha_bar(t)
         temb = np.tile(temb_table[t], (n, 1))
-        eps_hat = denoiser_forward(leaves, z, temb, cond_rows).data
+        eps_hat = _denoise(weights, z, temb, cond_rows)[0]
         z = (z - (beta / np.sqrt(1.0 - ab)) * eps_hat) / np.sqrt(1.0 - beta)
         if t > 1:
             z = z + np.sqrt(beta) * rng.standard_normal((n, latent_dim))

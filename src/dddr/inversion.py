@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import PretrainedDiffusion, condition_rows, draw_timesteps_and_noise, ldm_loss
+from .diffusion import PretrainedDiffusion, draw_timesteps_and_noise, ldm_loss
 from .optim import adam, apply_gradient_step
 from .params import CheckpointError, ParamSet, load_checkpoint, save_checkpoint
 from .rng import stream
@@ -89,9 +89,10 @@ def local_class_inversion(
     Returns (embedding, loss_start, loss_end); the losses are evaluated on
     a fixed probe batch so they compare embeddings rather than timestep
     luck, and a caller that re-creates `probe_rng` with the same key every
-    round gets traces comparable across rounds. Gradients flow only into
-    the embedding; denoiser parameters and the prompt enter the graph as
-    constants.
+    round gets traces comparable across rounds. Each step is one
+    `ldm_loss` node with the embedding as a one-row class table, its only
+    trainable leaf; the denoiser weights are constants and the prompt is
+    plain data.
     """
     images = np.asarray(shard_images, dtype=np.float32)
     if images.shape[0] == 0:
@@ -106,11 +107,12 @@ def local_class_inversion(
     probe_idx = probe_source.integers(0, flat.shape[0], size=min(batch, flat.shape[0]))
     probe_t, probe_eps = draw_timesteps_and_noise(probe_source, probe_idx.size, flat.shape[1], model.sched.T)
 
+    def loss(vector, idx, t, eps):
+        return ldm_loss(denoiser_consts, flat[idx], model.prompt, vector, np.zeros(idx.size, dtype=np.int64),
+                        model.sched, t, eps, model.temb_table)
+
     def probe_loss(vector: np.ndarray) -> float:
-        cond = condition_rows(model.prompt, vector, probe_idx.size)
-        value = ldm_loss(denoiser_consts, flat[probe_idx], cond, model.sched, probe_t, probe_eps,
-                         model.temb_table)
-        return value.item()
+        return loss(vector, probe_idx, probe_t, probe_eps).item()
 
     params = ParamSet({"v": start})
     loss_start = probe_loss(params["v"])
@@ -118,12 +120,7 @@ def local_class_inversion(
     for _ in range(steps):
         idx = rng.integers(0, flat.shape[0], size=min(batch, flat.shape[0]))
         t, eps = draw_timesteps_and_noise(rng, idx.size, flat.shape[1], model.sched.T)
-
-        def objective(leaves):
-            cond = condition_rows(model.prompt, leaves["v"], idx.size)
-            return ldm_loss(denoiser_consts, flat[idx], cond, model.sched, t, eps, model.temb_table)
-
-        _, grads = evaluate_with_gradients(objective, params)
+        _, grads = evaluate_with_gradients(lambda leaves, *batch: loss(leaves["v"], *batch), params, idx, t, eps)
         params = apply_gradient_step(params, grads, opt)
     return params["v"], loss_start, probe_loss(params["v"])
 

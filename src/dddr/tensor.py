@@ -1,31 +1,30 @@
-"""Dense tensors with reverse-mode gradients for a closed kernel set.
+"""Dense tensors with reverse-mode gradients, for a few hand-written nodes.
 
-The engine supports exactly the kernels the rest of the simulator needs:
-matmul, add, elementwise mul, affine, relu, mean, sum, square, concat,
-plus shape-only reshape and scalar sugar built from those. There is no
-general graph compiler; graphs are built eagerly by calling these
-functions on `Tensor` values. The model pieces that run many times per
-step are single nodes with a hand-written backward built on the same
-array operations: the denoiser (`diffusion.denoiser_forward`), the
+Every model computation the simulator differentiates is one node with a
+hand-written backward over numpy arrays: the noise-prediction loss
+(`diffusion.ldm_loss`, whose denoiser pass `diffusion.sample` shares), the
 client loss terms (`classifier.loss_ce`, `loss_pce`, `loss_scl` and
-`loss_kd`) and the EWC penalty (`classifier.ewc_penalty`).
+`loss_kd`) and the EWC penalty (`classifier.ewc_penalty`). This module
+holds what they share: the `Tensor` with its tape and reverse sweep,
+parameter leaves and constants, `evaluate_with_gradients`, the `add` and
+`mul` kernels that `classifier.total_objective` weights and sums the
+terms with, and the sigmoid helpers. There is no general graph compiler;
+graphs are built eagerly.
 
-Every kernel, and each of those nodes, hands its backward closure to the
-`Tensor` constructor, which keeps it and the parents only when a parent
-requires a gradient; a graph built over constants holds nothing but its
-values.
+Each node hands its backward closure to the `Tensor` constructor, which
+keeps it and the parents only when a parent requires a gradient; a graph
+built over constants holds nothing but its values.
 
-Values are float32 by default. Reductions accumulate in float64 before
-casting back, and every kernel validates that its output is finite, so a
-numeric blow-up is reported at the op where it happens instead of
-surfacing as NaN metrics much later. Passing float64 leaves through the
-same graph functions is supported (the gradient-check harness relies on
-it).
+Values are float32 by default, and float64 leaves pass through the same
+nodes (the gradient-check harness relies on it). The constructor
+validates that every node's value is finite, and the nodes check their
+intermediate sums, so a numeric blow-up is reported where it happens
+instead of surfacing as NaN metrics much later.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +47,7 @@ class NonFiniteValue(NumericsError):
 
 
 class DegenerateInput(NumericsError):
-    """Mathematically invalid input, e.g. a zero vector to l2_normalize."""
+    """Mathematically invalid input, e.g. a zero feature vector to normalize in loss_scl."""
 
 
 def check_finite(kernel: str, data: np.ndarray) -> np.ndarray:
@@ -129,30 +128,12 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Operator sugar, all routed through the kernel set below.
+    # `+` adds through the add kernel, as total_objective sums its terms
     def __add__(self, other):
         return add(self, other)
 
     def __radd__(self, other):
         return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op}, requires_grad={self.requires_grad})"
@@ -220,34 +201,6 @@ def mul(a: Tensor, b) -> Tensor:
     return Tensor(a.data * b.data, _parents=(a, b), _backward=_backward, op="mul")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch("matmul", a.shape, b.shape)
-
-    def _backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ grad)
-
-    return Tensor(a.data @ b.data, _parents=(a, b), _backward=_backward, op="matmul")
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b, the basic dense layer."""
-    return add(matmul(x, w), b)
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _wrap(x)
-
-    def _backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * (x.data > 0))
-
-    return Tensor(np.maximum(x.data, 0), _parents=(x,), _backward=_backward, op="relu")
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid of an array, in its dtype, without branches or overflow.
 
@@ -263,81 +216,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def silu_grad(grad: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """Upstream gradient times d silu(x)/dx, with sig = sigmoid(x)."""
     return grad * (sig * (1.0 + x * (1.0 - sig)))
-
-
-def square(x: Tensor) -> Tensor:
-    x = _wrap(x)
-
-    def _backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * (2.0 * x.data))
-
-    return Tensor(x.data * x.data, _parents=(x,), _backward=_backward, op="square")
-
-
-def _reduce(x: Tensor, axis, keepdims: bool, op: str, scale_to_mean: bool) -> Tensor:
-    x = _wrap(x)
-    acc = x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64)
-    if axis is None:
-        count = x.data.size
-    else:
-        count = int(np.prod([x.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]))
-    if count == 0:
-        raise ShapeMismatch(op, x.shape)
-    if scale_to_mean:
-        acc = acc / count
-
-    def _backward(grad: np.ndarray) -> None:
-        g = np.asarray(grad)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis=axis)
-        g = np.broadcast_to(g, x.shape)
-        if scale_to_mean:
-            g = g / count
-        x._accumulate(g.astype(x.dtype))
-
-    return Tensor(acc.astype(x.dtype), _parents=(x,), _backward=_backward, op=op)
-
-
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce(x, axis, keepdims, "sum", scale_to_mean=False)
-
-
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    return _reduce(x, axis, keepdims, "mean", scale_to_mean=True)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    if not tensors:
-        raise ShapeMismatch("concat", ())
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if len(t.shape) != len(ref) or any(
-            d != r for i, (d, r) in enumerate(zip(t.shape, ref)) if i != axis % len(ref)
-        ):
-            raise ShapeMismatch("concat", *[t.shape for t in tensors])
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def _backward(grad: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(lo, hi)
-                t._accumulate(grad[tuple(index)])
-
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    return Tensor(data, _parents=tuple(tensors), _backward=_backward, op="concat")
-
-
-def reshape(x: Tensor, shape: Iterable[int]) -> Tensor:
-    x = _wrap(x)
-    shape = tuple(shape)
-
-    def _backward(grad: np.ndarray) -> None:
-        x._accumulate(grad.reshape(x.shape))
-
-    return Tensor(x.data.reshape(shape), _parents=(x,), _backward=_backward, op="reshape")
 
 
 def param_leaves(params, dtype=None) -> dict[str, Tensor]:
@@ -360,8 +238,8 @@ def evaluate_with_gradients(f, params, *inputs, dtype=None):
     """Evaluate a scalar graph function and return (loss value, gradients).
 
     `f` is called as f(leaves, *inputs) where `leaves` maps parameter names
-    to trainable Tensors; it must build its result from the kernel set in
-    this module. Gradients come back with exactly the names and shapes of
+    to trainable Tensors; it must build its result from `Tensor` nodes.
+    Gradients come back with exactly the names and shapes of
     `params` (zero where the graph never touched a parameter).
     """
     from .params import ParamSet

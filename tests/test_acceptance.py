@@ -20,7 +20,6 @@ from dddr.diffusion import (
     DiffusionDims,
     PretrainedDiffusion,
     build_schedule,
-    condition_rows,
     draw_timesteps_and_noise,
     forward_diffuse,
     init_denoiser,
@@ -214,9 +213,8 @@ def test_criterion_01_gradient_suite():
         prompt = r.normal(0, 0.3, 3).astype(np.float32)
 
         def eq1(p):
-            cond = condition_rows(prompt, p["v"], 4)
             den_leaves = {k: p[k] for k in p if k.startswith("den.")}
-            return ldm_loss(den_leaves, z0, cond, sched, t, eps, temb)
+            return ldm_loss(den_leaves, z0, prompt, p["v"], np.zeros(4, np.int64), sched, t, eps, temb)
 
         cases = {
             "noise-prediction": (eq1, inv_params),

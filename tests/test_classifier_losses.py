@@ -12,7 +12,6 @@ from dddr.classifier import (
     ewc_penalty,
     fisher_estimate,
     init_classifier,
-    logits,
     loss_ce,
     loss_kd,
     loss_pce,
@@ -33,9 +32,8 @@ from dddr.tensor import (
     evaluate_with_gradients,
     mul,
     param_leaves,
-    square,
-    tsum,
 )
+from tests import graph_forms
 
 
 DIMS = ClassifierDims(input_dim=8, n_classes=5, hidden=6, feature_dim=4, proj_hidden=4, proj_dim=3)
@@ -318,7 +316,7 @@ def test_fisher_matches_closed_form_mixture(params):
     # for head biases, grad log p(y) = onehot(y) - p, so the model-expected
     # fisher is p_c (1 - p_c); mix the empirical fishers of both labels
     x, _ = batch(21, 1)
-    row = logits(params, x).data[0]
+    row = graph_forms.logits(params, x).data[0]
     p = np.exp(row - row.max())
     p = p / p.sum()
     mixed = np.zeros(DIMS.n_classes)
@@ -336,6 +334,25 @@ def test_snapshot_is_immutable_copy(params):
     assert params_checksum(snap.params) == before
     assert snap.task_index == 1
     assert params_checksum(mutated) != before
+
+
+def test_predict_logits_match_graph_form_bit_for_bit(monkeypatch, fd_params):
+    seen = []
+    dense_forward = classifier._dense_forward
+
+    def spy(*args):
+        out = dense_forward(*args)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(classifier, "_dense_forward", spy)
+    x, _ = batch(23, 12)
+    labels = predict(fd_params, x)
+    graph = graph_forms.logits(fd_params, x).data
+    (node,) = seen
+    assert node.dtype == graph.dtype == np.float32
+    assert np.array_equal(node, graph)
+    assert np.array_equal(labels, np.argmax(graph, axis=-1))
 
 
 def test_predict_ties_break_low_index():
@@ -405,8 +422,8 @@ def ewc_penalty_graph(params, anchor, fisher, lam):
     for name in anchor:
         if name not in p:
             continue
-        diff = p[name] - constant(anchor[name])
-        total = total + tsum(mul(constant(fisher[name]), square(diff)))
+        diff = graph_forms.sub(p[name], constant(anchor[name]))
+        total = total + graph_forms.tsum(mul(constant(fisher[name]), graph_forms.square(diff)))
     return mul(total, 0.5 * lam)
 
 
@@ -513,7 +530,6 @@ CASES = {
 @pytest.mark.parametrize("direction", ["teacher_ref", "student_ref"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_loss_nodes_match_graph_forms_bit_for_bit(dtype, direction, case, with_ewc):
-    from tests import graph_forms
 
     r = stream(60, "node-vs-graph", case)
     params = trained_like(WIDE, seed=61)
@@ -541,7 +557,6 @@ def test_loss_nodes_match_graph_forms_bit_for_bit(dtype, direction, case, with_e
 @pytest.mark.parametrize("direction", ["teacher_ref", "student_ref"])
 def test_client_training_matches_graph_forms_bit_for_bit(monkeypatch, direction):
     from dddr import federation
-    from tests import graph_forms
 
     dims = ClassifierDims(input_dim=16, n_classes=4, hidden=8, feature_dim=6, proj_hidden=6, proj_dim=4)
     r = stream(66, "client-node-vs-graph")
@@ -594,7 +609,7 @@ def overflowing(params, *names):
     "node, kernel",
     [("loss_ce", "loss_ce.hidden2"), ("loss_pce", "loss_pce.hidden2"), ("loss_scl", "loss_scl.proj2"),
      ("loss_scl-tau", "loss_scl.similarities"), ("loss_kd", "loss_kd.logits"),
-     ("loss_kd-teacher", "loss_kd.teacher.hidden2"), ("ewc_penalty", "ewc_penalty")],
+     ("loss_kd-teacher", "loss_kd.teacher.hidden2"), ("ewc_penalty", "ewc_penalty"), ("predict", "predict.hidden2")],
 )
 def test_loss_node_overflow_names_node_and_layer(fd_params, node, kernel):
     params = fd_params
@@ -609,6 +624,7 @@ def test_loss_node_overflow_names_node_and_layer(fd_params, node, kernel):
         "ewc_penalty": lambda: ewc_penalty(
             params, {k: v + 1.0 for k, v in params.items()}, {k: np.full(v.shape, 1e300) for k, v in params.items()}, 1e10
         ),
+        "predict": lambda: predict(overflowing(params, "fe.b1", "fe.w2"), x),
     }
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         with pytest.raises(NonFiniteValue) as exc:

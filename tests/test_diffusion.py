@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dddr import diffusion
+from dddr import diffusion, inversion
 from dddr import tensor as T
 from dddr.diffusion import (
     DENOISER_NAMES,
@@ -11,8 +11,6 @@ from dddr.diffusion import (
     PretrainedDiffusion,
     ScheduleError,
     build_schedule,
-    condition_rows,
-    denoiser_forward,
     draw_timesteps_and_noise,
     forward_diffuse,
     init_denoiser,
@@ -22,6 +20,7 @@ from dddr.diffusion import (
     time_embedding_table,
 )
 from dddr.gradcheck import finite_difference_check
+from dddr.inversion import local_class_inversion
 from dddr.params import ParamSet
 from dddr.rng import stream
 from dddr.tensor import NonFiniteValue, evaluate_with_gradients
@@ -102,10 +101,10 @@ def test_ldm_loss_zero_predictor_close_to_dim(pretrain_corpus):
     rng = stream(3, "zero-pred")
     flat = pretrain_corpus.images[:512].reshape(-1, 256)
     t, eps = draw_timesteps_and_noise(rng, flat.shape[0], 256, 100)
-    cond = np.zeros((flat.shape[0], dims.cond_dim), dtype=np.float32)
+    prompt, table = np.zeros(dims.embed_dim, np.float32), np.zeros((1, dims.embed_dim), np.float32)
 
     def f(leaves):
-        return ldm_loss(leaves, flat, cond, sched, t, eps, tt)
+        return ldm_loss(leaves, flat, prompt, table, np.zeros(flat.shape[0], np.int64), sched, t, eps, tt)
 
     loss, _ = evaluate_with_gradients(f, zeroed)
     assert abs(loss - 256.0) / 256.0 < 0.1
@@ -113,16 +112,17 @@ def test_ldm_loss_zero_predictor_close_to_dim(pretrain_corpus):
 
 def test_ldm_loss_gradients_match_finite_differences():
     dims = DiffusionDims(latent_dim=6, embed_dim=3, time_dim=4, hidden=5)
-    params = init_denoiser(dims, seed=4)
+    rng = stream(5, "fd-ldm")
+    params = ParamSet({**init_denoiser(dims, seed=4), "emb.class": rng.normal(0, 0.3, (3, 3)).astype(np.float32)})
     sched = build_schedule(5, 0.05, 0.3)
     tt = time_embedding_table(5, dims.time_dim)
-    rng = stream(5, "fd-ldm")
     z0 = rng.uniform(0, 1, (4, 6)).astype(np.float32)
     t, eps = draw_timesteps_and_noise(rng, 4, 6, 5)
-    cond = rng.normal(0, 0.3, (4, dims.cond_dim)).astype(np.float32)
+    prompt = rng.normal(0, 0.3, 3).astype(np.float32)
+    slots = np.array([0, 2, 1, 2])
 
     def f(leaves):
-        return ldm_loss(leaves, z0, cond, sched, t, eps, tt)
+        return ldm_loss(leaves, z0, prompt, leaves["emb.class"], slots, sched, t, eps, tt)
 
     report = finite_difference_check(f, params, tolerance=1e-3)
     assert report.passed, report.worst()
@@ -140,8 +140,7 @@ def test_ldm_loss_differentiable_through_condition_only():
     vcfg = ParamSet({"v": rng.normal(0, 0.3, 3).astype(np.float32)})
 
     def f(leaves):
-        cond = condition_rows(prompt, leaves["v"], 3)
-        return ldm_loss(denoiser, z0, cond, sched, t, eps, tt)
+        return ldm_loss(denoiser, z0, prompt, leaves["v"], np.zeros(3, np.int64), sched, t, eps, tt)
 
     report = finite_difference_check(f, vcfg, tolerance=1e-3)
     assert report.passed, report.worst()
@@ -193,34 +192,23 @@ def test_time_embedding_rows_are_distinct():
     assert (diffs > 1e-3).all()
 
 
-# -- the one-node denoiser against the graph it replaced ---------------------
+# -- the one-node loss and the sampler against the graphs they replaced ------
 
-def _where_silu(x):
-    """The two-np.where silu kernel that the silu kernel used to be."""
-    x = T._wrap(x)
-    pos = x.data >= 0
-    e = np.exp(np.where(pos, -x.data, x.data))
-    sig = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
-    out = T.Tensor(x.data * sig, _parents=(x,), op="silu")
+def _counted(monkeypatch, module, name, reference):
+    """Patch module.name with `reference` and return the list its calls append to."""
+    calls = []
 
-    def _backward(grad):
-        x._accumulate(grad * (sig * (1.0 + x.data * (1.0 - sig))))
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return reference(*args, **kwargs)
 
-    out._backward = _backward
-    return out
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
-def _graph_denoiser_forward(params, z, temb, cond):
-    """The denoiser as the 18-kernel graph of matmul, add and silu nodes it used to be."""
-    p = T.as_leaves(params)
-    z = z if isinstance(z, T.Tensor) else T.constant(np.asarray(z, dtype=np.float32))
-    temb = temb if isinstance(temb, T.Tensor) else T.constant(np.asarray(temb, dtype=np.float32))
-    cond = cond if isinstance(cond, T.Tensor) else T.constant(np.asarray(cond, dtype=np.float32))
-    h = T.matmul(z, p["den.w_in"]) + p["den.b_in"]
-    h = _where_silu(h + T.matmul(temb, p["den.w_time"]) + T.matmul(cond, p["den.w_cond"]))
-    h2 = T.affine(h, p["den.w_h"], p["den.b_h"])
-    h2 = _where_silu(h2 + T.matmul(temb, p["den.w_time2"]) + T.matmul(cond, p["den.w_cond2"]))
-    return T.affine(h2, p["den.w_out"], p["den.b_out"]) + T.matmul(z, p["den.w_skip"])
+def _graph_denoise(w, z, temb, cond):
+    """`diffusion._denoise` through the graph form of the denoiser (no tape)."""
+    return graph_forms.denoiser_forward(w, z, temb, cond).data, None
 
 
 def _trained_like_denoiser(dims, seed):
@@ -243,49 +231,54 @@ def _ldm_inputs(dims, batch, seed):
     rng = stream(seed, "node-vs-graph")
     z0 = rng.uniform(0, 1, (batch, dims.latent_dim)).astype(np.float32)
     t, eps = draw_timesteps_and_noise(rng, batch, dims.latent_dim, 20)
-    cond = rng.normal(0, 0.5, (batch, dims.cond_dim)).astype(np.float32)
-    return sched, tt, z0, t, eps, cond
+    prompt = rng.normal(0, 0.5, dims.embed_dim).astype(np.float32)
+    return sched, tt, z0, t, eps, prompt
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_denoiser_node_matches_graph_bit_for_bit(monkeypatch, dtype):
+def test_denoiser_node_matches_graph_bit_for_bit(dtype):
+    # pretraining's path: every denoiser weight and a 5-class table are leaves
     dims = DiffusionDims(latent_dim=24, embed_dim=4, time_dim=8, hidden=32)
-    params = _trained_like_denoiser(dims, seed=21)
-    sched, tt, z0, t, eps, cond = _ldm_inputs(dims, 16, seed=22)
+    params = ParamSet({**_trained_like_denoiser(dims, seed=21),
+                       "emb.class": stream(21, "table").normal(0, 0.5, (5, 4)).astype(np.float32)})
+    sched, tt, z0, t, eps, prompt = _ldm_inputs(dims, 16, seed=22)
+    slots = stream(22, "slots").integers(0, 5, 16)
 
-    def f(leaves):
-        return ldm_loss(leaves, z0, cond, sched, t, eps, tt)
+    def loss(module):
+        return lambda leaves: module.ldm_loss(leaves, z0, prompt, leaves["emb.class"], slots, sched, t, eps, tt)
 
-    node_loss, node_grads = _value_and_leaf_grads(f, params, dtype)
-    node_pred = denoiser_forward(T.param_leaves(params, dtype=dtype), z0, tt[t], cond).data
-    monkeypatch.setattr(diffusion, "denoiser_forward", _graph_denoiser_forward)
-    graph_loss, graph_grads = _value_and_leaf_grads(f, params, dtype)
-    graph_pred = _graph_denoiser_forward(T.param_leaves(params, dtype=dtype), z0, tt[t], cond).data
+    node_loss, node_grads = _value_and_leaf_grads(loss(diffusion), params, dtype)
+    graph_loss, graph_grads = _value_and_leaf_grads(loss(graph_forms), params, dtype)
+    leaves = T.param_leaves(params, dtype=dtype)
+    cond = graph_forms.pretraining_condition(prompt, leaves["emb.class"], slots).data
+    weights = {name: leaves[name].data for name in DENOISER_NAMES}
+    node_pred = diffusion._denoise(weights, z0, tt[t], cond)[0]
+    graph_pred = graph_forms.denoiser_forward(leaves, z0, tt[t], cond).data
 
     assert node_pred.dtype == graph_pred.dtype == dtype
     assert np.array_equal(node_pred, graph_pred)
+    assert node_loss.dtype == graph_loss.dtype == np.float64
     assert np.array_equal(node_loss, graph_loss)
-    assert sorted(node_grads) == sorted(graph_grads) == sorted(DENOISER_NAMES)
-    for name in DENOISER_NAMES:
+    assert sorted(node_grads) == sorted(graph_grads) == sorted((*DENOISER_NAMES, "emb.class"))
+    for name in node_grads:
         assert node_grads[name].dtype == graph_grads[name].dtype == dtype
         assert np.array_equal(node_grads[name], graph_grads[name]), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_denoiser_node_condition_gradient_matches_graph(monkeypatch, dtype):
-    # inversion's path: frozen float32 weights, gradient only into the class half
+def test_denoiser_node_condition_gradient_matches_graph(dtype):
+    # inversion's path: frozen float32 weights, gradient only into the one-row table
     dims = DiffusionDims(latent_dim=24, embed_dim=4, time_dim=8, hidden=32)
-    frozen = _trained_like_denoiser(dims, seed=23)
-    sched, tt, z0, t, eps, _ = _ldm_inputs(dims, 16, seed=24)
-    prompt = stream(25, "prompt").normal(0, 0.3, 4).astype(np.float32)
+    frozen = T.as_leaves(_trained_like_denoiser(dims, seed=23))
+    sched, tt, z0, t, eps, prompt = _ldm_inputs(dims, 16, seed=24)
     v = ParamSet({"v": stream(26, "v").normal(0, 0.3, 4).astype(np.float32)})
+    slots = np.zeros(16, np.int64)
 
-    def f(leaves):
-        return ldm_loss(T.as_leaves(frozen), z0, condition_rows(prompt, leaves["v"], 16), sched, t, eps, tt)
+    def loss(module):
+        return lambda leaves: module.ldm_loss(frozen, z0, prompt, leaves["v"], slots, sched, t, eps, tt)
 
-    node_loss, node_grads = _value_and_leaf_grads(f, v, dtype)
-    monkeypatch.setattr(diffusion, "denoiser_forward", _graph_denoiser_forward)
-    graph_loss, graph_grads = _value_and_leaf_grads(f, v, dtype)
+    node_loss, node_grads = _value_and_leaf_grads(loss(diffusion), v, dtype)
+    graph_loss, graph_grads = _value_and_leaf_grads(loss(graph_forms), v, dtype)
     assert np.array_equal(node_loss, graph_loss)
     assert node_grads["v"].dtype == graph_grads["v"].dtype == dtype
     assert np.array_equal(node_grads["v"], graph_grads["v"])
@@ -294,11 +287,28 @@ def test_denoiser_node_condition_gradient_matches_graph(monkeypatch, dtype):
 def test_pretraining_steps_match_graph_bit_for_bit(monkeypatch, pretrain_corpus):
     cfg = PretrainConfig(T=20, steps=12, batch=16, hidden=32, seed=27)
     node = pretrain_diffusion(pretrain_corpus, cfg)
-    monkeypatch.setattr(diffusion, "denoiser_forward", _graph_denoiser_forward)
+    calls = _counted(monkeypatch, diffusion, "ldm_loss", graph_forms.ldm_loss)
     graph = pretrain_diffusion(pretrain_corpus, cfg)
+    assert len(calls) == cfg.steps + 2  # every step and both probes ran the graph
     assert node.loss_trace == graph.loss_trace
     assert node.checksum() == graph.checksum()
     assert (node.probe_initial, node.probe_final) == (graph.probe_initial, graph.probe_final)
+
+
+def test_local_class_inversion_matches_graph_bit_for_bit(monkeypatch, tiny_model, pretrain_corpus):
+    images = pretrain_corpus.images[pretrain_corpus.labels == 2][:40]
+    start = stream(34, "start").normal(0, 0.1, tiny_model.dims.embed_dim).astype(np.float32)
+
+    def invert():
+        return local_class_inversion(images, 2, start, 7, tiny_model, stream(35, "inv"), probe_rng=stream(36, "probe"))
+
+    node = invert()
+    calls = _counted(monkeypatch, inversion, "ldm_loss", graph_forms.ldm_loss)
+    graph = invert()
+    assert len(calls) == 7 + 2  # every step and both probes ran the graph
+    assert np.array_equal(node[0], graph[0])
+    assert node[1:] == graph[1:]
+    assert node[1] != node[2]
 
 
 def test_sample_matches_graph_bit_for_bit(monkeypatch):
@@ -309,9 +319,39 @@ def test_sample_matches_graph_bit_for_bit(monkeypatch):
     r = stream(29, "cond")
     cond = ConditionVector(r.normal(0, 0.3, 4).astype(np.float32), r.normal(0, 0.3, 4).astype(np.float32))
     node = sample(params, cond, 6, sched, stream(30, "s"), tt, clamp=(-np.inf, np.inf))
-    monkeypatch.setattr(diffusion, "denoiser_forward", _graph_denoiser_forward)
+    calls = _counted(monkeypatch, diffusion, "_denoise", _graph_denoise)
     graph = sample(params, cond, 6, sched, stream(30, "s"), tt, clamp=(-np.inf, np.inf))
+    assert len(calls) == sched.T
     assert np.array_equal(node, graph)
+
+
+def _graph_nodes(root):
+    """Nodes reachable from root through `_parents`, as perfbench's tracer counts them."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_pretraining_and_inversion_steps_build_one_node(monkeypatch, pretrain_corpus):
+    roots = []
+    backward = T.Tensor.backward
+
+    def recording(root):
+        roots.append(root)
+        backward(root)
+
+    monkeypatch.setattr(T.Tensor, "backward", recording)
+    model = pretrain_diffusion(pretrain_corpus, PretrainConfig(T=20, steps=1, batch=16, hidden=32, seed=37))
+    images = pretrain_corpus.images[pretrain_corpus.labels == 1][:20]
+    local_class_inversion(images, 1, model.class_embeddings[1], 1, model, stream(38, "inv"))
+    assert len(roots) == 2
+    for root in roots:
+        inner = [node for node in _graph_nodes(root) if node._parents]
+        assert [node.op for node in inner] == ["ldm_loss"]
 
 
 def test_sigmoid_matches_where_form_at_edges():
@@ -333,14 +373,15 @@ def test_sigmoid_matches_where_form_at_edges():
         finite = np.isfinite(x)
         with np.errstate(invalid="ignore"):
             assert np.array_equal((x * new)[finite], (x * old)[finite])
-        assert np.array_equal(graph_forms.silu(T.constant(x[finite])).data, _where_silu(T.constant(x[finite])).data)
+        finite_x = T.constant(x[finite])
+        assert np.array_equal(graph_forms.silu(finite_x).data, graph_forms.where_silu(finite_x).data)
 
 
 def test_silu_kernel_gradient_matches_where_form():
     x = stream(32, "silu-grad").normal(0, 3, (8, 16)).astype(np.float32)
     ps = ParamSet({"x": x})
-    _, new = evaluate_with_gradients(lambda p: T.tsum(T.square(graph_forms.silu(p["x"]))), ps)
-    _, old = evaluate_with_gradients(lambda p: T.tsum(T.square(_where_silu(p["x"]))), ps)
+    _, new = evaluate_with_gradients(lambda p: graph_forms.tsum(graph_forms.square(graph_forms.silu(p["x"]))), ps)
+    _, old = evaluate_with_gradients(lambda p: graph_forms.tsum(graph_forms.square(graph_forms.where_silu(p["x"]))), ps)
     assert np.array_equal(new["x"], old["x"])
 
 
@@ -349,8 +390,28 @@ def test_denoiser_overflow_raises_non_finite_naming_the_node():
     params = dict(init_denoiser(dims, seed=33))
     params["den.b_in"] = np.full_like(params["den.b_in"], 100.0)
     params["den.w_h"] = np.full_like(params["den.w_h"], 1e38)  # 100 * 1e38 overflows float32
+    params = ParamSet(params)
     z = np.ones((2, 8), dtype=np.float32)
+    sched, tt = build_schedule(4, 0.01, 0.1), time_embedding_table(4, 4)
+    zeros = np.zeros(2, np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteValue) as exc:
-            denoiser_forward(ParamSet(params), z, np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32))
+            ldm_loss(params, z, zeros, zeros, np.zeros(2, np.int64), sched, np.array([1, 4]), z, tt)
+        assert exc.value.kernel == "denoiser.hidden2"
+        with pytest.raises(NonFiniteValue) as exc:
+            sample(params, ConditionVector(zeros, zeros), 2, sched, stream(39, "s"), tt)
     assert exc.value.kernel == "denoiser.hidden2"
+
+
+def test_squared_error_overflow_names_the_loss_node():
+    # a finite float64 prediction of ~1e200 whose square overflows
+    dims = DiffusionDims(latent_dim=8, embed_dim=2, time_dim=4, hidden=16)
+    params = {k: v.astype(np.float64) for k, v in init_denoiser(dims, seed=40).items()}
+    params["den.b_out"] = np.full(8, 1e200)
+    z, zeros = np.ones((2, 8), np.float32), np.zeros(2, np.float32)
+    sched, tt = build_schedule(4, 0.01, 0.1), time_embedding_table(4, 4)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteValue) as exc:
+            ldm_loss(T.param_leaves(params, dtype=np.float64), z, zeros, zeros, np.zeros(2, np.int64), sched,
+                     np.array([1, 4]), z, tt)
+    assert exc.value.kernel == "ldm_loss"

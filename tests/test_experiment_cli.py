@@ -226,6 +226,16 @@ def test_cli_pretraining_divergence_is_a_numeric_error(tmp_path, capsys):
     assert "error: numeric: pretraining diverged at step 1: denoiser.hidden" in err
 
 
+def test_cli_divergence_in_the_final_probe_names_the_last_step(tmp_path, capsys):
+    # one step of ~1e30 per weight: only the probe loss after it overflows
+    args = ["run", "--out", str(tmp_path / "diverge-last")]
+    args += [f"--set={s}" for s in MICRO + ["diffusion.pretrain_steps=1", "diffusion.pretrain_lr=1.0e+30"]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "error: numeric: pretraining diverged at step 1: denoiser.hidden1 produced a non-finite value" in err
+
+
 def test_cli_threads_flag_changes_nothing(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     base = [f"--set={s}" for s in MICRO]
