@@ -14,11 +14,20 @@ The denoiser's math is written once, as a numpy forward that keeps a tape
 loss (`ldm_loss`) wraps them, with the condition rows, the noising and
 the squared error, in one tensor-engine node, so each pretraining and
 each inversion step builds one node over its leaves; the sampler runs the
-forward alone.
+forward alone, over the stacked rows of several classes in one pass.
+
+Pretraining and the sampler draw their random numbers one step ahead of
+their use, on one helper thread (`draws_ahead`), into buffers the caller
+owns. The draws come from the same generators in the same order as
+drawing them in line would, so the bytes do not depend on the helper.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,10 +256,65 @@ class ConditionVector:
         return np.concatenate([self.prompt, self.class_part]).astype(np.float32)
 
 
-def draw_timesteps_and_noise(rng: np.random.Generator, batch: int, latent_dim: int, T: int):
+def draw_timesteps_and_noise(rng: np.random.Generator, batch: int, latent_dim: int, T: int, out=None):
+    """Timesteps in [1, T], then float32 standard-normal noise of shape (batch, latent_dim).
+
+    `out`, a pair of (batch, latent_dim) arrays, float64 and float32,
+    receives the float64 draw and the noise in place of new arrays; the
+    values are the same either way.
+    """
     t = rng.integers(1, T + 1, size=batch)
-    eps = rng.standard_normal((batch, latent_dim)).astype(np.float32)
+    if out is None:
+        return t, rng.standard_normal((batch, latent_dim)).astype(np.float32)
+    normals, eps = out
+    rng.standard_normal(out=normals)
+    np.copyto(eps, normals)
     return t, eps
+
+
+@contextmanager
+def draws_ahead(draw: Callable, buffers: tuple, steps: int) -> Iterator[Iterator]:
+    """Run draw(k, buffers[k % 2]) for k = 0 .. steps - 1 one step ahead of its use, on one helper thread.
+
+    Yields an iterator over the draws' results in step order. While the
+    caller works on step k, the helper runs step k + 1's draw into the
+    other buffer, so each step must be done with its buffer when it asks
+    for the next result, and `draw` must be the only user of its
+    generators while the context is open. Random draws depend on nothing
+    the caller computes, and numpy's fills release the interpreter lock,
+    so the helper overlaps them with the caller's BLAS products. A draw's
+    exception is raised in the caller. The helper thread lives as long as
+    the context, which waits for a draw in flight before it exits, however
+    it exits.
+    """
+    requests: queue.SimpleQueue = queue.SimpleQueue()
+    results: queue.SimpleQueue = queue.SimpleQueue()
+
+    def helper() -> None:
+        for k in iter(requests.get, None):
+            try:
+                results.put((draw(k, buffers[k % 2]), None))
+            except BaseException as exc:  # the caller raises it; a lost one would leave it waiting
+                results.put((None, exc))
+
+    def in_order():
+        if steps > 0:
+            requests.put(0)
+        for k in range(steps):
+            value, exc = results.get()
+            if exc is not None:
+                raise exc
+            if k + 1 < steps:
+                requests.put(k + 1)
+            yield value
+
+    thread = threading.Thread(target=helper, name="dddr-draws")
+    thread.start()
+    try:
+        yield in_order()
+    finally:
+        requests.put(None)
+        thread.join()
 
 
 def ldm_loss(params, z0: np.ndarray, prompt: np.ndarray, table, slots: np.ndarray, sched: NoiseSchedule,
@@ -425,15 +489,23 @@ def pretrain_diffusion(corpus: Corpus, cfg: PretrainConfig) -> PretrainedDiffusi
     probe_initial = probe_loss(params)
     opt = adam(cfg.lr)
     trace: list[float] = []
-    for step in range(cfg.steps):
-        batch_idx = data_rng.integers(0, len(corpus), size=min(cfg.batch, len(corpus)))
-        t, eps = draw_timesteps_and_noise(data_rng, batch_idx.size, latent_dim, cfg.T)
-        try:
-            loss, grads = evaluate_with_gradients(objective, params, batch_idx, t, eps)
-        except NonFiniteValue as exc:
-            raise PretrainingDiverged(step, exc.kernel) from exc
-        params = apply_gradient_step(params, grads, opt)
-        trace.append(loss)
+    batch = min(cfg.batch, len(corpus))
+
+    def draw(_step, out):
+        batch_idx = data_rng.integers(0, len(corpus), size=batch)
+        return (batch_idx, *draw_timesteps_and_noise(data_rng, batch, latent_dim, cfg.T, out=out))
+
+    # only the helper reads the float64 draw, so both steps' buffers share it
+    normals = np.empty((batch, latent_dim))
+    buffers = tuple((normals, np.empty((batch, latent_dim), np.float32)) for _ in range(2))
+    with draws_ahead(draw, buffers, cfg.steps) as draws:
+        for step, (batch_idx, t, eps) in enumerate(draws):
+            try:
+                loss, grads = evaluate_with_gradients(objective, params, batch_idx, t, eps)
+            except NonFiniteValue as exc:
+                raise PretrainingDiverged(step, exc.kernel) from exc
+            params = apply_gradient_step(params, grads, opt)
+            trace.append(loss)
 
     try:
         probe_final = probe_loss(params)
@@ -458,28 +530,55 @@ def pretrain_diffusion(corpus: Corpus, cfg: PretrainConfig) -> PretrainedDiffusi
 
 def sample(
     params: ParamSet,
-    cond: ConditionVector,
+    conds: Sequence[ConditionVector],
     n: int,
     sched: NoiseSchedule,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     temb_table: np.ndarray,
     clamp: tuple[float, float] = (0.0, 1.0),
+    counts: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Ancestral sampling: n latents from pure noise, clamped at the end."""
-    if n < 1:
-        raise ValueError("sample: n must be >= 1")
+    """Ancestral sampling: n latents from pure noise, clamped at the end, for one or more classes in one pass.
+
+    Class i takes the `counts[i]` rows after class i - 1's (all n rows
+    when `counts` is None and there is one class), conditioned on
+    `conds[i]`. It draws its starting latents and then each step's noise
+    from `rngs[i]`, in the order a pass over that class alone would. The
+    denoiser's products compute each row from that row alone, and OpenBLAS
+    keeps a row's bits when row blocks of 2 or more are stacked, so each
+    class's rows equal a pass over it alone, bit for bit, unless it has
+    one row: a one-row product takes another path, so a 1-row class is
+    sampled alone (tests/test_diffusion.py guards the stacking rule).
+    """
+    counts = [n] if counts is None else [int(k) for k in counts]
+    if n < 1 or min(counts) < 1 or sum(counts) != n:
+        raise ValueError(f"sample: class row counts {counts} must be >= 1 and sum to n = {n} >= 1")
+    if not len(conds) == len(rngs) == len(counts):
+        raise ValueError(f"sample: {len(conds)} conditions, {len(rngs)} streams and {len(counts)} row counts")
     latent_dim = params["den.b_out"].shape[0]
     leaves = as_leaves(params)  # the frozen weights, wrapped and checked once per call
     weights = {name: leaves[name].data for name in DENOISER_NAMES}
-    cond_rows = np.tile(cond.combined(), (n, 1))
-    z = rng.standard_normal((n, latent_dim)).astype(np.float32)
-    for t in range(sched.T, 0, -1):
-        beta = sched.beta(t)
-        ab = sched.alpha_bar(t)
-        temb = np.tile(temb_table[t], (n, 1))
-        eps_hat = _denoise(weights, z, temb, cond_rows)[0]
-        z = (z - (beta / np.sqrt(1.0 - ab)) * eps_hat) / np.sqrt(1.0 - beta)
-        if t > 1:
-            z = z + np.sqrt(beta) * rng.standard_normal((n, latent_dim))
-        z = z.astype(np.float32)
+    cond_rows = np.concatenate([np.tile(c.combined(), (k, 1)) for c, k in zip(conds, counts)])
+    blocks = [slice(end - k, end) for k, end in zip(counts, np.cumsum(counts))]
+
+    def draw(step, out):
+        """Step 0 draws the starting latents; step k > 0 the scaled noise of timestep T + 1 - k."""
+        for rng, rows in zip(rngs, blocks):
+            rng.standard_normal(out=out[rows])
+        if step > 0:
+            np.multiply(out, np.sqrt(sched.beta(sched.T + 1 - step)), out=out)
+        return out
+
+    buffers = (np.empty((n, latent_dim)), np.empty((n, latent_dim)))
+    with draws_ahead(draw, buffers, sched.T) as draws:
+        z = next(draws).astype(np.float32)
+        for t in range(sched.T, 0, -1):
+            beta = sched.beta(t)
+            ab = sched.alpha_bar(t)
+            temb = np.tile(temb_table[t], (n, 1))
+            eps_hat = _denoise(weights, z, temb, cond_rows)[0]
+            z = (z - (beta / np.sqrt(1.0 - ab)) * eps_hat) / np.sqrt(1.0 - beta)
+            if t > 1:
+                z = z + next(draws)
+            z = z.astype(np.float32)
     return np.clip(z, clamp[0], clamp[1]).astype(np.float32)

@@ -1,4 +1,4 @@
-"""Reader/writer for the IDX binary format used by small-image corpora.
+"""Reader for the IDX binary format used by small-image corpora.
 
 Image files: big-endian magic 0x00000803, then u32 count/rows/cols and a
 raw uint8 payload. Label files: magic 0x00000801, u32 count, uint8 labels.
@@ -71,22 +71,3 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Corpus:
     pixels = (images.astype(np.float32) / np.float32(255.0))[:, None, :, :]
     return Corpus(pixels, labels.astype(np.int64))
 
-
-def write_idx_images(path: str | Path, images: np.ndarray) -> None:
-    """Write uint8 images of shape (N, H, W)."""
-    images = np.asarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"images must be (N, H, W) uint8, got {images.shape}")
-    n, h, w = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">4I", IMAGE_MAGIC, n, h, w))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.min(initial=0) < 0 or labels.max(initial=0) > 255:
-        raise ValueError("labels must be a 1-d array of values 0..255")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">2I", LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.astype(np.uint8).tobytes())

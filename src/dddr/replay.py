@@ -3,6 +3,11 @@
 Replay sets are generated once per task from (class table, seed, counts) and
 served identically to every client; that shared view is what lets the
 generated current-task data soften the label skew between clients.
+
+Each class draws from its own stream, `stream(seed, "replay-gen", class)`,
+and the sampler runs over groups of whole classes at a time, stacked
+into one pass of at most `SAMPLE_GROUP_ROWS` rows; a class's images are
+the same bytes whichever group it is sampled in.
 """
 
 from __future__ import annotations
@@ -16,6 +21,11 @@ import numpy as np
 from .corpus import DataFormatError, image_checksum, quantize01, read_pgm, write_pgm
 from .diffusion import ConditionVector, PretrainedDiffusion, sample
 from .rng import stream
+
+# rows of one sampler pass over stacked classes: larger stacks take fewer
+# passes, but every step holds a few arrays of this many latents, so the
+# cap bounds the peak resident set
+SAMPLE_GROUP_ROWS = 128
 
 
 @dataclass
@@ -39,14 +49,39 @@ class ReplayCache:
         return np.concatenate(piles), np.concatenate(labels)
 
 
-def generate_class_samples(
-    table: dict[int, np.ndarray], class_index: int, n: int, model: PretrainedDiffusion, seed: int
-) -> np.ndarray:
-    """n images of `class_index` from its frozen embedding; deterministic under seed."""
-    cond = ConditionVector(model.prompt, table[class_index])  # KeyError when not inverted
-    rng = stream(seed, "replay-gen", class_index)
-    flat = sample(model.params, cond, n, model.sched, rng, model.temb_table)
-    return quantize01(flat.reshape((n,) + tuple(model.image_shape)))
+def generate_samples(
+    table: dict[int, np.ndarray], rows: list[tuple[int, int]], model: PretrainedDiffusion, seed: int
+) -> list[np.ndarray]:
+    """Images of each (class, count) in `rows`, from the classes' frozen embeddings, in one sampler pass.
+
+    Deterministic under seed. A class's images do not depend on the other
+    classes of the pass, unless it has one row among others (see
+    `diffusion.sample`). A class missing from the table raises KeyError.
+    """
+    conds = [ConditionVector(model.prompt, table[c]) for c, _ in rows]
+    rngs = [stream(seed, "replay-gen", c) for c, _ in rows]
+    counts = [n for _, n in rows]
+    flat = sample(model.params, conds, sum(counts), model.sched, rngs, model.temb_table, counts=counts)
+    images = quantize01(flat.reshape((-1,) + tuple(model.image_shape)))
+    return np.split(images, np.cumsum(counts)[:-1])
+
+
+def sample_groups(counts: list[int]) -> list[slice]:
+    """Runs of consecutive classes, given their row counts, that one sampler pass each takes.
+
+    A run holds at most SAMPLE_GROUP_ROWS rows. A 1-row class runs alone,
+    and so does a class of more rows than that.
+    """
+    groups: list[slice] = []
+    rows = 0
+    for i, n in enumerate(counts):
+        if groups and n > 1 and counts[groups[-1].start] > 1 and rows + n <= SAMPLE_GROUP_ROWS:
+            groups[-1] = slice(groups[-1].start, i + 1)
+            rows += n
+        else:
+            groups.append(slice(i, i + 1))
+            rows = n
+    return groups
 
 
 def build_replay_sets(
@@ -59,12 +94,13 @@ def build_replay_sets(
     seed: int,
 ) -> tuple[ReplayCache, ReplayCache]:
     """(history cache, current-task cache); the history cache is empty on the first task."""
-    past = ReplayCache(seed=seed)
-    for c in sorted(past_classes):
-        past.by_class[c] = generate_class_samples(table, c, past_per_class, model, seed)
-    current = ReplayCache(seed=seed)
-    for c in sorted(current_classes):
-        current.by_class[c] = generate_class_samples(table, c, current_per_class, model, seed)
+    past, current = ReplayCache(seed=seed), ReplayCache(seed=seed)
+    wanted = [(past, c, past_per_class) for c in sorted(past_classes)]
+    wanted += [(current, c, current_per_class) for c in sorted(current_classes)]
+    for group in sample_groups([n for _, _, n in wanted]):
+        images = generate_samples(table, [(c, n) for _, c, n in wanted[group]], model, seed)
+        for (cache, c, _), imgs in zip(wanted[group], images):
+            cache.by_class[c] = imgs
     return past, current
 
 

@@ -10,9 +10,11 @@ exactly as they were, and no `dddr` code reaches it:
   form `a - b` had on tensors;
 - the classifier's `features`, `logits` and `project`;
 - the denoiser, the condition rows and the noise-prediction loss;
-- the four client loss terms.
-The tests compare every node's value and leaf gradients with these bit
-for bit.
+- the four client loss terms;
+- the sampler as it ran before it stacked classes and drew its noise on
+  a helper thread: one class per call, every draw in line.
+The tests compare every node's value and leaf gradients, and the
+sampler's latents, with these bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from dddr import diffusion
 from dddr.classifier import _check_labels, _input_rows, supcon_masks
-from dddr.diffusion import NoiseSchedule, forward_diffuse
+from dddr.diffusion import DENOISER_NAMES, ConditionVector, NoiseSchedule, forward_diffuse
 from dddr.params import ParamSet
 from dddr.tensor import (
     DegenerateInput,
@@ -308,6 +311,31 @@ def ldm_loss(params, z0, prompt, table, slots, sched, t, eps, temb_table) -> Ten
     else:
         cond = pretraining_condition(prompt, _wrap(table), np.asarray(slots))
     return ldm_loss_over_rows(params, z0, cond, sched, t, eps, temb_table)
+
+
+# -- the sampler, one class per call ------------------------------------------
+
+def sample_one_class(params: ParamSet, cond: ConditionVector, n: int, sched: NoiseSchedule,
+                     rng: np.random.Generator, temb_table: np.ndarray,
+                     clamp: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
+    """Ancestral sampling of one class, each step's noise drawn in line: the loop `diffusion.sample` ran."""
+    if n < 1:
+        raise ValueError("sample: n must be >= 1")
+    latent_dim = params["den.b_out"].shape[0]
+    leaves = as_leaves(params)
+    weights = {name: leaves[name].data for name in DENOISER_NAMES}
+    cond_rows = np.tile(cond.combined(), (n, 1))
+    z = rng.standard_normal((n, latent_dim)).astype(np.float32)
+    for t in range(sched.T, 0, -1):
+        beta = sched.beta(t)
+        ab = sched.alpha_bar(t)
+        temb = np.tile(temb_table[t], (n, 1))
+        eps_hat = diffusion._denoise(weights, z, temb, cond_rows)[0]
+        z = (z - (beta / np.sqrt(1.0 - ab)) * eps_hat) / np.sqrt(1.0 - beta)
+        if t > 1:
+            z = z + np.sqrt(beta) * rng.standard_normal((n, latent_dim))
+        z = z.astype(np.float32)
+    return np.clip(z, clamp[0], clamp[1]).astype(np.float32)
 
 
 # -- the client loss terms ----------------------------------------------------

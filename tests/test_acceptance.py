@@ -136,7 +136,7 @@ def generation_rate(table, classes, model, oracle, per_class: int = 50) -> float
     hits = total = 0
     for c in classes:
         cond = ConditionVector(model.prompt, table[c])
-        flat = sample(model.params, cond, per_class, model.sched, stream(ACCEPT_SEED + 3, "gen", c),
+        flat = sample(model.params, [cond], per_class, model.sched, [stream(ACCEPT_SEED + 3, "gen", c)],
                       model.temb_table)
         images = flat.reshape((per_class,) + tuple(model.image_shape))
         hits += int(np.sum(oracle.classify(images) == c))
@@ -273,8 +273,8 @@ def test_criterion_03_conditional_generation(diffusion_model, pretrain_oracle, c
     rates = {}
     for c in pretrain_corpus.classes():
         cond = ConditionVector(diffusion_model.prompt, diffusion_model.class_embeddings[c])
-        flat = sample(diffusion_model.params, cond, per_class, diffusion_model.sched,
-                      stream(ACCEPT_SEED, "accept-gen", c), diffusion_model.temb_table)
+        flat = sample(diffusion_model.params, [cond], per_class, diffusion_model.sched,
+                      [stream(ACCEPT_SEED, "accept-gen", c)], diffusion_model.temb_table)
         images = flat.reshape((per_class,) + tuple(diffusion_model.image_shape))
         rate = pretrain_oracle.class_rate(images, c)
         rates[c] = round(rate, 3)

@@ -13,14 +13,35 @@ from dddr.corpus import (
     write_pgm,
 )
 from dddr.idx import (
+    IMAGE_MAGIC,
+    LABEL_MAGIC,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
     load_idx,
-    write_idx_images,
-    write_idx_labels,
 )
 from dddr.rng import stream
+
+
+def write_idx_images(path, images: np.ndarray) -> None:
+    """Write uint8 images of shape (N, H, W) as an IDX image file."""
+    images = np.asarray(images, dtype=np.uint8)
+    if images.ndim != 3:
+        raise ValueError(f"images must be (N, H, W) uint8, got {images.shape}")
+    n, h, w = images.shape
+    with open(path, "wb") as f:
+        f.write(struct.pack(">4I", IMAGE_MAGIC, n, h, w))
+        f.write(images.tobytes())
+
+
+def write_idx_labels(path, labels: np.ndarray) -> None:
+    """Write labels 0..255 as an IDX label file."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.min(initial=0) < 0 or labels.max(initial=0) > 255:
+        raise ValueError("labels must be a 1-d array of values 0..255")
+    with open(path, "wb") as f:
+        f.write(struct.pack(">2I", LABEL_MAGIC, labels.shape[0]))
+        f.write(labels.astype(np.uint8).tobytes())
 
 
 def test_idx_hand_built_file(tmp_path):

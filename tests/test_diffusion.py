@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from dddr.diffusion import (
     DiffusionDims,
     PretrainConfig,
     PretrainedDiffusion,
+    PretrainingDiverged,
     ScheduleError,
     build_schedule,
     draw_timesteps_and_noise,
@@ -160,8 +164,8 @@ def test_pretrain_reduces_probe_loss(tiny_model):
 
 def test_sample_deterministic_and_clamped(tiny_model):
     cond = ConditionVector(tiny_model.prompt, tiny_model.class_embeddings[0])
-    a = sample(tiny_model.params, cond, 8, tiny_model.sched, stream(2, "s"), tiny_model.temb_table)
-    b = sample(tiny_model.params, cond, 8, tiny_model.sched, stream(2, "s"), tiny_model.temb_table)
+    a = sample(tiny_model.params, [cond], 8, tiny_model.sched, [stream(2, "s")], tiny_model.temb_table)
+    b = sample(tiny_model.params, [cond], 8, tiny_model.sched, [stream(2, "s")], tiny_model.temb_table)
     assert np.array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 1.0
 
@@ -169,7 +173,7 @@ def test_sample_deterministic_and_clamped(tiny_model):
 def test_sample_rejects_nonpositive_n(tiny_model):
     cond = ConditionVector(tiny_model.prompt, tiny_model.class_embeddings[0])
     with pytest.raises(ValueError):
-        sample(tiny_model.params, cond, 0, tiny_model.sched, stream(2, "s"), tiny_model.temb_table)
+        sample(tiny_model.params, [cond], 0, tiny_model.sched, [stream(2, "s")], tiny_model.temb_table)
 
 
 def test_diffusion_checkpoint_round_trip(tiny_model, tmp_path):
@@ -180,9 +184,133 @@ def test_diffusion_checkpoint_round_trip(tiny_model, tmp_path):
     assert loaded.sched.T == tiny_model.sched.T
     assert sorted(loaded.class_embeddings) == sorted(tiny_model.class_embeddings)
     cond = ConditionVector(tiny_model.prompt, tiny_model.class_embeddings[1])
-    a = sample(tiny_model.params, cond, 4, tiny_model.sched, stream(4, "rt"), tiny_model.temb_table)
-    b = sample(loaded.params, cond, 4, loaded.sched, stream(4, "rt"), loaded.temb_table)
+    a = sample(tiny_model.params, [cond], 4, tiny_model.sched, [stream(4, "rt")], tiny_model.temb_table)
+    b = sample(loaded.params, [cond], 4, loaded.sched, [stream(4, "rt")], loaded.temb_table)
     assert np.array_equal(a, b)
+
+
+def test_draw_timesteps_and_noise_into_buffers_matches_new_arrays():
+    t, eps = draw_timesteps_and_noise(stream(44, "d"), 6, 10, 50)
+    out = (np.empty((6, 10)), np.empty((6, 10), np.float32))
+    t_out, eps_out = draw_timesteps_and_noise(stream(44, "d"), 6, 10, 50, out=out)
+    assert eps_out is out[1]
+    assert np.array_equal(t, t_out)
+    assert eps.dtype == eps_out.dtype == np.float32
+    assert np.array_equal(eps, eps_out)
+
+
+def test_pretraining_steps_get_the_draws_made_in_line(monkeypatch, pretrain_corpus):
+    # each step's batch indices, timesteps and noise, drawn on the helper thread, are
+    # what drawing them in line from the "pretrain" stream gives, in that order
+    cfg = PretrainConfig(T=20, steps=12, batch=16, hidden=32, seed=45)
+    seen = []
+    evaluate = diffusion.evaluate_with_gradients
+
+    def recording(objective, params, batch_idx, t, eps):
+        seen.append((batch_idx.copy(), t.copy(), eps.copy()))  # the helper reuses the buffers
+        return evaluate(objective, params, batch_idx, t, eps)
+
+    monkeypatch.setattr(diffusion, "evaluate_with_gradients", recording)
+    pretrain_diffusion(pretrain_corpus, cfg)
+    rng = stream(cfg.seed, "pretrain")
+    assert len(seen) == cfg.steps
+    for batch_idx, t, eps in seen:
+        assert np.array_equal(batch_idx, rng.integers(0, len(pretrain_corpus), size=cfg.batch))
+        t_line, eps_line = draw_timesteps_and_noise(rng, cfg.batch, eps.shape[1], cfg.T)
+        assert np.array_equal(t, t_line)
+        assert eps.dtype == np.float32 and np.array_equal(eps, eps_line)
+
+
+def test_stacked_row_blocks_keep_product_bits():
+    # The sampler stacks classes into one product, which keeps each class's bits only if
+    # OpenBLAS computes a row of A @ W the same way whatever rows are stacked around it.
+    # That holds for blocks of 2 or more rows (a 1-row product takes another path, see
+    # the FOUND line on row stacking in CHANGES.md). K and N cover the denoiser's
+    # forward products at the desk dims (16, 32, 256) and the tests' model (64).
+    r = stream(46, "stack")
+    blocks = (2, 3, 7, 30, 60, 2, 17, 5)
+    for k in (16, 32, 64, 128, 256):
+        for n in (16, 32, 64, 128, 256):
+            w = r.normal(0, 0.2, (k, n)).astype(np.float32)
+            parts = [r.normal(0, 1, (m, k)).astype(np.float32) for m in blocks]
+            stacked = np.concatenate(parts) @ w
+            assert np.array_equal(stacked, np.concatenate([a @ w for a in parts])), (k, n)
+
+
+def test_draws_ahead_yields_in_order_and_raises_a_draws_error():
+    before = threading.active_count()
+    with diffusion.draws_ahead(lambda k, buf: (k, buf), ("a", "b"), 5) as draws:
+        assert list(draws) == [(0, "a"), (1, "b"), (2, "a"), (3, "b"), (4, "a")]
+
+    def failing(k, buf):
+        if k == 2:
+            raise ZeroDivisionError("draw 2")
+        return k
+
+    with pytest.raises(ZeroDivisionError, match="draw 2"):
+        with diffusion.draws_ahead(failing, (None, None), 5) as draws:
+            assert list(draws) == [0, 1]
+    with diffusion.draws_ahead(failing, (None, None), 5) as draws:
+        assert next(draws) == 0  # leaves with draw 1 in flight
+    assert threading.active_count() == before
+
+
+def test_draws_ahead_under_fast_thread_switching_keeps_each_steps_draw():
+    # four callers, more than the two vCPUs this suite runs on, each with its own helper,
+    # and a thread switch every microsecond: a step's buffer holds the draw made in line
+    # until the caller asks for the next step, while the helper fills the other buffer
+    def caller(i, steps):
+        rng = stream(52, "stress", i)
+        buffers = (np.empty((64, 64)), np.empty((64, 64)))
+        with diffusion.draws_ahead(lambda k, out: rng.standard_normal(out=out), buffers, 100) as draws:
+            for d in draws:
+                seen = d.copy()
+                np.dot(d, d)  # releases the interpreter lock to the helper
+                steps.append((seen, np.array_equal(d, seen)))
+
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=caller, args=(i, results[i])) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i, steps in enumerate(results):
+        rng = stream(52, "stress", i)
+        assert len(steps) == 100
+        for seen, unchanged in steps:
+            assert unchanged and np.array_equal(seen, rng.standard_normal((64, 64)))
+
+
+def test_draw_helper_threads_end_with_sample_and_pretraining(tiny_model, pretrain_corpus):
+    before = threading.active_count()
+    cond = ConditionVector(tiny_model.prompt, tiny_model.class_embeddings[0])
+    sample(tiny_model.params, [cond], 3, tiny_model.sched, [stream(47, "s")], tiny_model.temb_table)
+    assert threading.active_count() == before
+    pretrain_diffusion(pretrain_corpus, PretrainConfig(T=10, steps=3, batch=8, hidden=16, seed=48))
+    assert threading.active_count() == before
+
+    dims = DiffusionDims(latent_dim=8, embed_dim=2, time_dim=4, hidden=16)
+    params = dict(init_denoiser(dims, seed=49))
+    params["den.b_in"] = np.full_like(params["den.b_in"], 100.0)
+    params["den.w_h"] = np.full_like(params["den.w_h"], 1e38)
+    zeros = np.zeros(2, np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteValue) as exc:
+            sample(ParamSet(params), [ConditionVector(zeros, zeros)] * 2, 4, build_schedule(6, 0.01, 0.1),
+                   [stream(50, "a"), stream(50, "b")], time_embedding_table(6, 4), counts=[2, 2])
+        assert exc.value.kernel == "denoiser.hidden2"
+        assert threading.active_count() == before
+        # an Adam step of ~1e30 per weight overflows the next step's forward pass
+        with pytest.raises(PretrainingDiverged) as exc:
+            pretrain_diffusion(pretrain_corpus, PretrainConfig(T=10, steps=5, batch=8, hidden=16, lr=1e30, seed=51))
+    assert exc.value.step == 1
+    assert threading.active_count() == before
 
 
 def test_time_embedding_rows_are_distinct():
@@ -318,9 +446,9 @@ def test_sample_matches_graph_bit_for_bit(monkeypatch):
     tt = time_embedding_table(15, dims.time_dim)
     r = stream(29, "cond")
     cond = ConditionVector(r.normal(0, 0.3, 4).astype(np.float32), r.normal(0, 0.3, 4).astype(np.float32))
-    node = sample(params, cond, 6, sched, stream(30, "s"), tt, clamp=(-np.inf, np.inf))
+    node = sample(params, [cond], 6, sched, [stream(30, "s")], tt, clamp=(-np.inf, np.inf))
     calls = _counted(monkeypatch, diffusion, "_denoise", _graph_denoise)
-    graph = sample(params, cond, 6, sched, stream(30, "s"), tt, clamp=(-np.inf, np.inf))
+    graph = sample(params, [cond], 6, sched, [stream(30, "s")], tt, clamp=(-np.inf, np.inf))
     assert len(calls) == sched.T
     assert np.array_equal(node, graph)
 
@@ -399,7 +527,7 @@ def test_denoiser_overflow_raises_non_finite_naming_the_node():
             ldm_loss(params, z, zeros, zeros, np.zeros(2, np.int64), sched, np.array([1, 4]), z, tt)
         assert exc.value.kernel == "denoiser.hidden2"
         with pytest.raises(NonFiniteValue) as exc:
-            sample(params, ConditionVector(zeros, zeros), 2, sched, stream(39, "s"), tt)
+            sample(params, [ConditionVector(zeros, zeros)], 2, sched, [stream(39, "s")], tt)
     assert exc.value.kernel == "denoiser.hidden2"
 
 
