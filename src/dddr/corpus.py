@@ -1,16 +1,22 @@
-"""Labeled image corpora and their on-disk form (PGM files + CSV manifest).
+"""Labeled image corpora and image directories (PGM files + CSV manifest).
 
 Pixels are float32 in [0, 1], always quantized to multiples of 1/255, so a
-dump to 8-bit PGM and back reproduces them bit-exactly.
+dump to 8-bit PGM and back reproduces them bit-exactly. Corpus dumps and
+replay caches (`dddr.replay`) are both image directories: `write_image_dir`
+stages one whole, manifest last, and `read_image_dir` streams its rows.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import zlib
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
+
+from .artifacts import staged_dir, write_file
 
 
 class DataFormatError(Exception):
@@ -95,41 +101,50 @@ def image_checksum(pixels: np.ndarray, label: int) -> int:
     return zlib.crc32(to_u8(pixels).tobytes(), crc)
 
 
+def write_image_dir(directory: str | Path, header: list[str], rows: Iterable[tuple]) -> Path:
+    """Stage rows (filename, image, *fields) as PGMs plus manifest.csv, written last; returns the manifest."""
+    manifest = io.StringIO()
+    lines = csv.writer(manifest)
+    lines.writerow(header)
+    with staged_dir(directory) as stage:
+        for name, image, *fields in rows:
+            write_pgm(stage / name, image)
+            lines.writerow([name, *fields])
+        write_file(stage / "manifest.csv", manifest.getvalue())
+    return Path(directory) / "manifest.csv"
+
+
+def read_image_dir(directory: str | Path, header: list[str]) -> Iterator[tuple[str, list[str], np.ndarray]]:
+    """(manifest line for errors, fields, image) per row, one row at a time; the header must equal `header`."""
+    manifest = Path(directory) / "manifest.csv"
+    if not manifest.exists():
+        raise DataFormatError(f"{manifest}: manifest not found")
+    with open(manifest, newline="") as f:
+        reader = csv.reader(f)
+        found = next(reader, None)
+        if found != header:
+            raise DataFormatError(f"{manifest}: unexpected header {found}")
+        for lineno, row in enumerate(reader, start=2):
+            where = f"{manifest}: line {lineno}"
+            if len(row) != len(header):
+                raise DataFormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            yield where, row, read_pgm(manifest.parent / row[0])
+
+
 def dump_corpus(corpus: Corpus, directory: str | Path) -> Path:
     """Write a corpus as img_%05d.pgm files plus manifest.csv (filename,label)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = directory / "manifest.csv"
-    with open(manifest, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["filename", "label"])
-        for i in range(len(corpus)):
-            name = f"img_{i:05d}.pgm"
-            write_pgm(directory / name, corpus.images[i])
-            writer.writerow([name, int(corpus.labels[i])])
-    return manifest
+    rows = ((f"img_{i:05d}.pgm", corpus.images[i], int(corpus.labels[i])) for i in range(len(corpus)))
+    return write_image_dir(directory, ["filename", "label"], rows)
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    directory = Path(directory)
-    manifest = directory / "manifest.csv"
-    if not manifest.exists():
-        raise DataFormatError(f"{manifest}: manifest not found")
     images, labels = [], []
-    with open(manifest, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["filename", "label"]:
-            raise DataFormatError(f"{manifest}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataFormatError(f"{manifest}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                label = int(row[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{manifest}: line {lineno}: bad label {row[1]!r}") from exc
-            images.append(read_pgm(directory / row[0]))
-            labels.append(label)
+    for where, row, image in read_image_dir(directory, ["filename", "label"]):
+        try:
+            labels.append(int(row[1]))
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: bad label {row[1]!r}") from exc
+        images.append(image)
     if not images:
         return Corpus(np.zeros((0, 1, 1, 1), dtype=np.float32), np.zeros((0,), dtype=np.int64))
     return Corpus(np.stack(images), np.asarray(labels))

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_file, writing
 from .classifier import (
     ClassifierDims, EwcTerm, LossWeights, Snapshot, consolidate_ewc, fisher_estimate, init_classifier, make_snapshot,
 )
@@ -149,10 +150,9 @@ class DataVault:
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    with writing(path) as f:
         for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+            f.write((json.dumps(rec, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -192,8 +192,6 @@ def build_corpora(cfg: ExperimentConfig) -> tuple[Corpus, Corpus]:
 
 def stage_gen_data(cfg: ExperimentConfig, paths: RunPaths) -> None:
     client, pretrain = build_corpora(cfg)
-    dump_corpus(client, paths.client_corpus_dir)
-    dump_corpus(pretrain, paths.pretrain_corpus_dir)
     spec = PartitionSpec(
         mode=cfg["federation"]["partition"],
         alpha=cfg["federation"]["alpha"],
@@ -203,8 +201,10 @@ def stage_gen_data(cfg: ExperimentConfig, paths: RunPaths) -> None:
     plan = build_plan(
         client, cfg["experiment"]["n_tasks"], spec, cfg["data"]["holdout_fraction"], cfg["experiment"]["seed"]
     )
-    paths.plan_file.parent.mkdir(parents=True, exist_ok=True)
-    paths.plan_file.write_text(json.dumps(plan.to_jsonable(), sort_keys=True))
+    # the plan is built and validated first, so a config it rejects writes no corpus
+    dump_corpus(client, paths.client_corpus_dir)
+    dump_corpus(pretrain, paths.pretrain_corpus_dir)
+    write_file(paths.plan_file, json.dumps(plan.to_jsonable(), sort_keys=True))
 
 
 def stage_pretrain(cfg: ExperimentConfig, paths: RunPaths) -> None:
@@ -217,7 +217,6 @@ def stage_pretrain(cfg: ExperimentConfig, paths: RunPaths) -> None:
         lr=d["pretrain_lr"], seed=cfg["experiment"]["seed"],
     )
     model = pretrain_diffusion(corpus, pc)
-    paths.diffusion_ckpt.parent.mkdir(parents=True, exist_ok=True)
     model.save(paths.diffusion_ckpt)
     _write_jsonl(
         paths.pretrain_log,
@@ -366,13 +365,12 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
         vault.seal_through(t)
 
         _set_accuracy_row(matrix, t, global_params, plan, test_x)
-        paths.classifier_ckpt(t).parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(paths.classifier_ckpt(t), global_params, extra={"task": t, "method": method})
 
     _write_jsonl(paths.training_log, train_records)
     report = _build_report(cfg, plan, corpus, matrix, global_params, vault.violations)
-    paths.metrics_json.write_text(report.to_json())
-    paths.accuracy_csv.write_text(report.accuracy_csv())
+    write_file(paths.metrics_json, report.to_json())
+    write_file(paths.accuracy_csv, report.accuracy_csv())
     return report
 
 
@@ -430,7 +428,7 @@ def stage_eval(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
         final_params = params
         _set_accuracy_row(matrix, t, params, plan, test_x)
     report = _build_report(cfg, plan, corpus, matrix, final_params, 0)
-    paths.metrics_eval_json.write_text(report.to_json())
+    write_file(paths.metrics_eval_json, report.to_json())
     return report
 
 
@@ -444,7 +442,8 @@ def stage_audit(cfg: ExperimentConfig, paths: RunPaths) -> list[dict]:
     replay_root = paths.root / "replay"
     if not replay_root.exists():
         raise MissingArtifact(replay_root, "dddr train (method dddr)")
-    for manifest in sorted(replay_root.glob("task_*/*/manifest.csv")):
+    # a name starting with "." is a cache staged by a run that was killed
+    for manifest in sorted(replay_root.glob("task_*/[!.]*/manifest.csv")):
         cache = load_cache(manifest.parent)
         for c, imgs in cache.by_class.items():
             generated.setdefault(c, []).append(imgs)
@@ -458,7 +457,7 @@ def stage_audit(cfg: ExperimentConfig, paths: RunPaths) -> list[dict]:
          "best_ssim": r.best_ssim, "ssim_pair": list(r.ssim_pair)}
         for r in reports
     ]
-    paths.audit_json.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_file(paths.audit_json, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return payload
 
 
@@ -473,10 +472,6 @@ def run_fccl(cfg: ExperimentConfig, out_dir: str | Path) -> MetricsReport:
 
 
 def prepare_run_dir(cfg: ExperimentConfig, out_dir: str | Path) -> RunPaths:
-    root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    paths = RunPaths(root=root)
-    paths.config_file.write_text(cfg.to_yaml())
-    (root / "logs").mkdir(exist_ok=True)
-    (root / "checkpoints").mkdir(exist_ok=True)
+    paths = RunPaths(root=Path(out_dir))
+    write_file(paths.config_file, cfg.to_yaml())
     return paths

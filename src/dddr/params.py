@@ -24,6 +24,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .artifacts import writing
+
 MAGIC = b"DDDRCKPT"
 VERSION = 1
 
@@ -120,7 +122,7 @@ def save_checkpoint(path: str | Path, params: ParamSet, extra: dict | None = Non
         "extra": extra or {},
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
+    with writing(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(meta_bytes)))

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_file
+
 WIDTH, HEIGHT = 480, 320
 MARGIN = 48
 
@@ -72,4 +74,4 @@ def accuracy_curve_svg(curve: list[float], label: str = "average accuracy") -> s
 
 def write_curve_svg(accuracy_csv: str | Path, out_path: str | Path, label: str = "average accuracy") -> None:
     curve = curve_from_accuracy_csv(accuracy_csv)
-    Path(out_path).write_text(accuracy_curve_svg(curve, label))
+    write_file(out_path, accuracy_curve_svg(curve, label))

@@ -8,17 +8,19 @@ Each class draws from its own stream, `stream(seed, "replay-gen", class)`,
 and the sampler runs over groups of whole classes at a time, stacked
 into one pass of at most `SAMPLE_GROUP_ROWS` rows; a class's images are
 the same bytes whichever group it is sampled in.
+
+A saved cache is an image directory (`dddr.corpus`), written whole or not
+at all, whose rows carry label, seed, class and a CRC32 over label and pixels.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataFormatError, image_checksum, quantize01, read_pgm, write_pgm
+from .corpus import DataFormatError, image_checksum, quantize01, read_image_dir, write_image_dir
 from .diffusion import ConditionVector, PretrainedDiffusion, sample
 from .rng import stream
 
@@ -104,48 +106,31 @@ def build_replay_sets(
     return past, current
 
 
+CACHE_HEADER = ["filename", "label", "seed", "class", "checksum"]
+
+
 def save_cache(cache: ReplayCache, directory: str | Path) -> Path:
-    """PGM files plus manifest.csv (filename,label,seed,class,checksum)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = directory / "manifest.csv"
-    with open(manifest, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["filename", "label", "seed", "class", "checksum"])
-        for c in sorted(cache.by_class):
-            for i, img in enumerate(cache.by_class[c]):
-                name = f"cls{c:03d}_{i:04d}.pgm"
-                write_pgm(directory / name, img)
-                writer.writerow([name, c, cache.seed, c, image_checksum(img, c)])
-    return manifest
+    """PGM files plus manifest.csv (filename,label,seed,class,checksum), whole or not at all."""
+    rows = ((f"cls{c:03d}_{i:04d}.pgm", img, c, cache.seed, c, image_checksum(img, c))
+            for c in sorted(cache.by_class) for i, img in enumerate(cache.by_class[c]))
+    return write_image_dir(directory, CACHE_HEADER, rows)
 
 
 def load_cache(directory: str | Path) -> ReplayCache:
-    directory = Path(directory)
-    manifest = directory / "manifest.csv"
-    if not manifest.exists():
-        raise DataFormatError(f"{manifest}: manifest not found")
+    """Read a cache, checking each row's checksum, that its class is its label and its seed the first row's."""
     grouped: dict[int, list[np.ndarray]] = {}
-    seed = 0
-    with open(manifest, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["filename", "label", "seed", "class", "checksum"]:
-            raise DataFormatError(f"{manifest}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise DataFormatError(f"{manifest}: line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                label, seed, checksum = int(row[1]), int(row[2]), int(row[4])
-            except ValueError as exc:
-                raise DataFormatError(f"{manifest}: line {lineno}: bad integer field: {exc}") from exc
-            img = read_pgm(directory / row[0])
-            if image_checksum(img, label) != checksum:
-                raise DataFormatError(
-                    f"{manifest}: line {lineno}: checksum mismatch for {row[0]} (tampered label or pixels?)"
-                )
-            grouped.setdefault(label, []).append(img)
-    cache = ReplayCache(seed=seed)
-    for c, imgs in grouped.items():
-        cache.by_class[c] = np.stack(imgs)
-    return cache
+    seed = None
+    for where, row, img in read_image_dir(directory, CACHE_HEADER):
+        try:
+            label, row_seed, cls, checksum = (int(v) for v in row[1:])
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: bad integer field: {exc}") from exc
+        if image_checksum(img, label) != checksum:
+            raise DataFormatError(f"{where}: checksum mismatch for {row[0]} (tampered label or pixels?)")
+        if cls != label:
+            raise DataFormatError(f"{where}: class {cls} differs from label {label}")
+        if seed is not None and row_seed != seed:
+            raise DataFormatError(f"{where}: seed {row_seed} differs from the first row's {seed}")
+        seed = row_seed
+        grouped.setdefault(label, []).append(img)
+    return ReplayCache({c: np.stack(imgs) for c, imgs in grouped.items()}, seed=seed or 0)

@@ -216,6 +216,20 @@ def test_cli_exit_codes(tmp_path):
     assert main(["eval", "--out", str(tmp_path / "missing")]) == EXIT_DATA
 
 
+
+def test_cli_gen_data_checks_the_plan_before_writing_any_corpus(tmp_path, capsys):
+    from tests.test_data_formats import write_idx_images, write_idx_labels
+
+    labels = np.repeat(np.arange(3), 10)
+    write_idx_images(tmp_path / "images.idx", np.zeros((30, 8, 8), dtype=np.uint8))
+    write_idx_labels(tmp_path / "labels.idx", labels)
+    out = tmp_path / "three-classes"
+    args = ["gen-data", "--out", str(out), "--set=data.source=idx", "--set=experiment.n_tasks=2",
+            f"--set=data.idx_images={tmp_path / 'images.idx'}", f"--set=data.idx_labels={tmp_path / 'labels.idx'}"]
+    assert main(args) == EXIT_DATA
+    assert "3 classes cannot be split into 2 even tasks" in capsys.readouterr().err
+    assert not (out / "data").exists()
+
 def test_cli_pretraining_divergence_is_a_numeric_error(tmp_path, capsys):
     # an Adam step of ~1e30 per weight overflows the next step's forward pass
     args = ["run", "--out", str(tmp_path / "diverge")]

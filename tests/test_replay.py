@@ -192,3 +192,20 @@ def test_empty_cache_round_trip(tmp_path):
     assert manifest.read_text().splitlines() == ["filename,label,seed,class,checksum"]
     back = load_cache(tmp_path / "cache")
     assert back.by_class == {}
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (3, "1", "line 3: class 1 differs from label 0"),
+    (2, "6", "line 3: seed 6 differs from the first row's 5"),
+])
+def test_cache_rejects_a_row_whose_class_or_seed_disagrees(store, model, tmp_path, column, value, message):
+    cache = ReplayCache(seed=5)
+    cache.by_class[0] = generate_samples(store, [(0, 3)], model, seed=5)[0]
+    manifest = save_cache(cache, tmp_path / "cache")
+    lines = manifest.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = value
+    lines[2] = ",".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=message):
+        load_cache(tmp_path / "cache")
