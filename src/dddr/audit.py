@@ -9,6 +9,8 @@ memorizing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
+from typing import Iterable
 
 import numpy as np
 
@@ -73,33 +75,35 @@ def _pairwise_stats(real: np.ndarray, gen: np.ndarray) -> tuple[np.ndarray, np.n
     return mse, ssim_matrix
 
 
-def similarity_audit(
-    real_by_class: dict[int, np.ndarray], generated_by_class: dict[int, np.ndarray]
-) -> list[PairReport]:
-    """Top real/generated pair per class by PSNR and by SSIM."""
-    reports = []
-    for c in sorted(set(real_by_class) & set(generated_by_class)):
-        real, gen = real_by_class[c], generated_by_class[c]
-        if real.shape[0] == 0 or gen.shape[0] == 0:
-            raise ValueError(f"similarity_audit: class {c} has an empty side")
-        if real.shape[1:] != gen.shape[1:]:
-            raise ValueError(
-                f"similarity_audit: class {c} image shapes differ: {real.shape[1:]} vs {gen.shape[1:]}"
-            )
-        mse, ssim_matrix = _pairwise_stats(real, gen)
-        with np.errstate(divide="ignore"):
-            psnr_matrix = np.where(mse == 0.0, PSNR_CAP_DB, np.minimum(PSNR_CAP_DB, 10.0 * np.log10(1.0 / np.maximum(mse, 1e-300))))
-        pi = np.unravel_index(np.argmax(psnr_matrix), psnr_matrix.shape)
-        si = np.unravel_index(np.argmax(ssim_matrix), ssim_matrix.shape)
-        reports.append(
-            PairReport(
-                class_index=int(c),
-                best_psnr=float(psnr_matrix[pi]),
-                psnr_pair=(int(pi[0]), int(pi[1])),
-                best_ssim=float(ssim_matrix[si]),
-                ssim_pair=(int(si[0]), int(si[1])),
-            )
+def _class_report(c: int, real: np.ndarray, gen: np.ndarray) -> PairReport:
+    if real.shape[0] == 0 or gen.shape[0] == 0:
+        raise ValueError(f"similarity_audit: class {c} has an empty side")
+    if real.shape[1:] != gen.shape[1:]:
+        raise ValueError(
+            f"similarity_audit: class {c} image shapes differ: {real.shape[1:]} vs {gen.shape[1:]}"
         )
+    mse, ssim_matrix = _pairwise_stats(real, gen)
+    with np.errstate(divide="ignore"):
+        psnr_matrix = np.where(mse == 0.0, PSNR_CAP_DB, np.minimum(PSNR_CAP_DB, 10.0 * np.log10(1.0 / np.maximum(mse, 1e-300))))
+    pi = np.unravel_index(np.argmax(psnr_matrix), psnr_matrix.shape)
+    si = np.unravel_index(np.argmax(ssim_matrix), ssim_matrix.shape)
+    return PairReport(
+        class_index=int(c),
+        best_psnr=float(psnr_matrix[pi]),
+        psnr_pair=(int(pi[0]), int(pi[1])),
+        best_ssim=float(ssim_matrix[si]),
+        ssim_pair=(int(si[0]), int(si[1])),
+    )
+
+
+def similarity_audit(classes: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> list[PairReport]:
+    """Top real/generated pair by PSNR and by SSIM for each (class, real, generated) in order.
+
+    One class is scored at a time: its images and its (n_real, n_gen)
+    matrices are let go before the next class is drawn from `classes`, so
+    a generator that builds each class's images on demand holds only one.
+    """
+    reports = list(starmap(_class_report, classes))
     if not reports:
-        raise ValueError("similarity_audit: no classes in common")
+        raise ValueError("similarity_audit: no classes to audit")
     return reports

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import zlib
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -114,6 +115,11 @@ def write_image_dir(directory: str | Path, header: list[str], rows: Iterable[tup
     return Path(directory) / "manifest.csv"
 
 
+def _plain_name(name: str) -> bool:
+    """A file name with no separator and no `.`/`..`, so it names a file inside its directory."""
+    return name not in ("", ".", "..") and os.sep not in name and not (os.altsep and os.altsep in name)
+
+
 def read_image_dir(directory: str | Path, header: list[str]) -> Iterator[tuple[str, list[str], np.ndarray]]:
     """(manifest line for errors, fields, image) per row, one row at a time; the header must equal `header`."""
     manifest = Path(directory) / "manifest.csv"
@@ -128,6 +134,8 @@ def read_image_dir(directory: str | Path, header: list[str]) -> Iterator[tuple[s
             where = f"{manifest}: line {lineno}"
             if len(row) != len(header):
                 raise DataFormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            if not _plain_name(row[0]):
+                raise DataFormatError(f"{where}: file name {row[0]!r} is not a plain name in the directory")
             yield where, row, read_pgm(manifest.parent / row[0])
 
 

@@ -505,6 +505,7 @@ def pretrain_diffusion(corpus: Corpus, cfg: PretrainConfig) -> PretrainedDiffusi
             except NonFiniteValue as exc:
                 raise PretrainingDiverged(step, exc.kernel) from exc
             params = apply_gradient_step(params, grads, opt)
+            del grads  # not kept alive through the next step's backward
             trace.append(loss)
 
     try:

@@ -289,7 +289,6 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
     dims = ClassifierDims(input_dim=int(np.prod(corpus.image_shape)), n_classes=n_classes)
     global_params = init_classifier(dims, seed, include_projection=(method == "dddr"))
     ctc = _client_train_config(cfg)
-    sigma_c = cfg["noise"]["sigma_c"]
     matrix = AccuracyMatrix(plan.n_tasks, n_classes)
     snapshot: Snapshot | None = None
     ewc_pairs: list[tuple[ParamSet, ParamSet]] = []
@@ -322,43 +321,20 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
             if model.checksum() != generator_checksum:
                 raise AssertionError("frozen generator changed during replay generation")
 
-        # clients run serially in index order; a client with nothing to
-        # train on sits the round out and is left out of FedAvg
         for rnd in range(1, cfg["training"]["rounds"] + 1):
-            updates = []
-            for j in range(k):
-                rec = {"task": t, "round": rnd, "client": j, "samples": 0, "steps": 0}
-                if has_training_data(shards[j], past_pair, cur_pair):
-                    update = local_train_client(
-                        j, global_params, shards[j], past_pair, cur_pair, snapshot, ewc, ctc,
-                        stream(seed, "train", t, rnd, j),
-                    )
-                    if sigma_c > 0:
-                        update.params = add_gaussian_noise(
-                            update.params, sigma_c, stream(seed, "clf-noise", t, rnd, j)
-                        )
-                    updates.append(update)
-                    rec.update(samples=update.sample_count, steps=update.steps)
-                    rec.update({f"loss_{k_}": v for k_, v in sorted(update.loss_means.items())})
-                train_records.append(rec)
-            if not updates:
-                raise ValueError(f"task {t} round {rnd}: no client has anything to train on")
-            global_params = aggregate_classifier(updates)
+            global_params = _train_round(
+                cfg, t, rnd, global_params, shards, (past_pair, cur_pair), snapshot, ewc, ctc, train_records
+            )
 
         # the consolidated penalty is read only by later tasks, so the last
         # task estimates no Fisher
         if method == "fedewc" and t < plan.n_tasks - 1:
+            ewc = None  # superseded: the next term is folded from ewc_pairs
             anchors = global_params.copy()
-            fishers, weights = [], []
-            for j in range(k):
-                x, y = shards[j]
-                if y.size == 0:
-                    continue
-                fishers.append(fisher_estimate(anchors, x, y, n_samples=cfg["ewc"]["fisher_samples"]))
-                weights.append(float(y.size))
-            if fishers:
-                ewc_pairs.append((anchors, weighted_mean_params(fishers, weights)))
-                ewc = consolidate_ewc(ewc_pairs)
+            fisher = _task_fisher(anchors, shards, cfg["ewc"]["fisher_samples"])
+            if fisher is not None:
+                ewc_pairs.append((anchors, fisher))
+            ewc = consolidate_ewc(ewc_pairs) if ewc_pairs else None
         if snapshot is not None and params_checksum(snapshot.params) != snapshot.checksum:
             raise AssertionError("previous-task snapshot mutated during training")
         snapshot = make_snapshot(global_params, t)
@@ -372,6 +348,46 @@ def stage_train(cfg: ExperimentConfig, paths: RunPaths) -> MetricsReport:
     write_file(paths.metrics_json, report.to_json())
     write_file(paths.accuracy_csv, report.accuracy_csv())
     return report
+
+
+def _train_round(cfg, t, rnd, global_params, shards, replay, snapshot, ewc, ctc, records) -> ParamSet:
+    """One FedAvg round of task t: appends each client's record and returns only the aggregate.
+
+    Clients run serially in index order; a client with nothing to train on
+    sits the round out and is left out of FedAvg. The round's updates die
+    with this call, so none is kept beside the next round or the Fisher pass.
+    """
+    seed, sigma_c = cfg["experiment"]["seed"], cfg["noise"]["sigma_c"]
+    past_pair, cur_pair = replay
+    updates = []
+    for j, shard in enumerate(shards):
+        rec = {"task": t, "round": rnd, "client": j, "samples": 0, "steps": 0}
+        if has_training_data(shard, past_pair, cur_pair):
+            update = local_train_client(
+                j, global_params, shard, past_pair, cur_pair, snapshot, ewc, ctc, stream(seed, "train", t, rnd, j),
+            )
+            if sigma_c > 0:
+                update.params = add_gaussian_noise(update.params, sigma_c, stream(seed, "clf-noise", t, rnd, j))
+            updates.append(update)
+            rec.update(samples=update.sample_count, steps=update.steps)
+            rec.update({f"loss_{k}": v for k, v in sorted(update.loss_means.items())})
+        records.append(rec)
+    if not updates:
+        raise ValueError(f"task {t} round {rnd}: no client has anything to train on")
+    return aggregate_classifier(updates)
+
+
+def _task_fisher(anchors: ParamSet, shards, n_samples: int) -> ParamSet | None:
+    """Sample-weighted mean of the clients' Fisher estimates at `anchors`; None if no client has data.
+
+    The per-client estimates die with this call, before consolidation.
+    """
+    fishers, weights = [], []
+    for x, y in shards:
+        if y.size:
+            fishers.append(fisher_estimate(anchors, x, y, n_samples=n_samples))
+            weights.append(float(y.size))
+    return weighted_mean_params(fishers, weights) if fishers else None
 
 
 def _set_accuracy_row(matrix: AccuracyMatrix, t: int, params: ParamSet, plan: TaskSequencePlan, test_x) -> None:
@@ -449,9 +465,12 @@ def stage_audit(cfg: ExperimentConfig, paths: RunPaths) -> list[dict]:
             generated.setdefault(c, []).append(imgs)
     if not generated:
         raise MissingArtifact(replay_root / "task_00", "dddr train (method dddr)")
-    real = {c: corpus.images[corpus.indices_of(c)] for c in corpus.classes()}
-    gen = {c: np.concatenate(v) for c, v in generated.items()}
-    reports = similarity_audit(real, gen)
+    # each class's real and generated images are built when the audit
+    # reaches it, so only one class's copies are alive at a time
+    reports = similarity_audit(
+        (c, corpus.images[corpus.indices_of(c)], np.concatenate(generated.pop(c)))
+        for c in sorted(set(corpus.classes()) & set(generated))
+    )
     payload = [
         {"class": r.class_index, "best_psnr": r.best_psnr, "psnr_pair": list(r.psnr_pair),
          "best_ssim": r.best_ssim, "ssim_pair": list(r.ssim_pair)}

@@ -165,6 +165,7 @@ def local_train_client(
 
             total_value, grads = evaluate_with_gradients(objective, params)
             params = apply_gradient_step(params, grads, opt)
+            del grads  # not kept alive through the next step's backward
             steps += 1
             term_sums["total"] += total_value + ewc_offset
 

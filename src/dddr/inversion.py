@@ -122,6 +122,7 @@ def local_class_inversion(
         t, eps = draw_timesteps_and_noise(rng, idx.size, flat.shape[1], model.sched.T)
         _, grads = evaluate_with_gradients(lambda leaves, *batch: loss(leaves["v"], *batch), params, idx, t, eps)
         params = apply_gradient_step(params, grads, opt)
+        del grads  # not kept alive through the next step's backward
     return params["v"], loss_start, probe_loss(params["v"])
 
 

@@ -6,7 +6,10 @@ to watch the verdict lines appear.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,9 @@ from dddr.params import ParamSet
 from dddr.rng import stream
 from dddr.tasks import PartitionSpec, partition_class
 from tests.oracle import train_oracle
+from tests.test_experiment_cli import tree_bytes
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ACCEPT_SEED = 42
 
@@ -71,7 +77,28 @@ def desk_dir(tmp_path_factory) -> Path:
 
 
 @pytest.fixture(scope="session")
-def desk_dddr(desk_dir):
+def desk_rerun(desk_dir):
+    """Criterion 10's rerun: `dddr run` of the desk DDDR config in a fresh interpreter.
+
+    It starts before the in-process run of `desk_dddr`, so the two runs
+    share the CPUs instead of running one after the other. At session end
+    it is killed if it is still running, and reaped either way.
+    """
+    out = desk_dir / "dddr-rerun"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    args = ["run", "--out", str(out)] + [f"--set={s}" for s in DESK + ["experiment.method=dddr"]]
+    with open(desk_dir / "dddr-rerun.log", "wb") as log:
+        proc = subprocess.Popen([sys.executable, "-m", "dddr.cli", *args], env=env, stdout=log, stderr=subprocess.STDOUT)
+        try:
+            yield proc, out
+        finally:
+            proc.kill()  # a no-op once the run has ended
+            proc.wait()
+
+
+@pytest.fixture(scope="session")
+def desk_dddr(desk_dir, desk_rerun):
     cfg = parse_config(None, DESK + ["experiment.method=dddr"])
     out = desk_dir / "dddr"
     report = run_fccl(cfg, out)
@@ -432,16 +459,19 @@ def test_curve_monotonicity(desk_finetune, desk_dddr):
 # 10. determinism and provenance
 
 
-def test_criterion_10_determinism(desk_dddr, desk_dir):
+def test_criterion_10_determinism(desk_dddr, desk_rerun):
     cfg, paths, report = desk_dddr
-    rerun_dir = desk_dir / "dddr-rerun"
-    run_fccl(cfg, rerun_dir)
-    same_metrics = (rerun_dir / "metrics.json").read_bytes() == paths.metrics_json.read_bytes()
-    same_csv = (rerun_dir / "accuracy.csv").read_bytes() == paths.accuracy_csv.read_bytes()
+    proc, rerun_dir = desk_rerun
+    rerun_ok = proc.wait(timeout=900) == 0
+    same_metrics = rerun_ok and (rerun_dir / "metrics.json").read_bytes() == paths.metrics_json.read_bytes()
+    same_csv = rerun_ok and (rerun_dir / "accuracy.csv").read_bytes() == paths.accuracy_csv.read_bytes()
+    # every artifact, except what post-processing tests write into the run directory
+    same_tree = rerun_ok and tree_bytes(rerun_dir) == tree_bytes(paths.root)
 
     recomputed = stage_eval(cfg, paths)
     eval_matches = recomputed.to_json() == MetricsReport.from_json(paths.metrics_json.read_text()).to_json()
     guard_clean = report.past_data_reads == 0
-    verdict(10, same_metrics and same_csv and eval_matches and guard_clean,
-            f"rerun metrics byte-identical={same_metrics}, csv identical={same_csv}, "
+    verdict(10, same_metrics and same_csv and same_tree and eval_matches and guard_clean,
+            f"fresh-interpreter rerun exit={proc.returncode}, rerun metrics byte-identical={same_metrics}, "
+            f"csv identical={same_csv}, every file identical={same_tree}, "
             f"eval reproduces metrics={eval_matches}, past-task raw reads={report.past_data_reads}")

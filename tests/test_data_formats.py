@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -140,6 +141,16 @@ def test_corpus_manifest_errors(tmp_path):
     lines[1] = "img_00000.pgm,notanint"
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match="line 2"):
+        load_corpus(tmp_path / "dump")
+
+
+@pytest.mark.parametrize("name", ["../outside.pgm", "", ".", "..", "sub/img_00000.pgm", "/abs/img_00000.pgm"])
+def test_corpus_manifest_row_must_name_a_file_inside_the_dump(tmp_path, name):
+    # an unchecked "../outside.pgm" row loads the all-ones image beside the dump with no error
+    manifest = dump_corpus(Corpus(np.zeros((1, 1, 4, 4), dtype=np.float32), np.array([0])), tmp_path / "dump")
+    write_pgm(tmp_path / "outside.pgm", np.ones((1, 4, 4), dtype=np.float32))
+    manifest.write_text(f"filename,label\n{name},0\n")
+    with pytest.raises(DataFormatError, match=rf"line 2: file name {re.escape(repr(name))} is not a plain name in"):
         load_corpus(tmp_path / "dump")
 
 

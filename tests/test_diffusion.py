@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -219,6 +220,23 @@ def test_pretraining_steps_get_the_draws_made_in_line(monkeypatch, pretrain_corp
         t_line, eps_line = draw_timesteps_and_noise(rng, cfg.batch, eps.shape[1], cfg.T)
         assert np.array_equal(t, t_line)
         assert eps.dtype == np.float32 and np.array_equal(eps, eps_line)
+
+
+def test_pretraining_lets_each_steps_gradients_go_before_the_next_backward(monkeypatch, pretrain_corpus):
+    # step k's gradient arrays are dead when step k+1's evaluation, and so its backward, begins
+    previous: list[weakref.ref] = []
+    alive_at_entry = []
+    evaluate = diffusion.evaluate_with_gradients
+
+    def watching(*args):
+        alive_at_entry.append(sum(ref() is not None for ref in previous))
+        loss, grads = evaluate(*args)
+        previous[:] = [weakref.ref(g) for g in grads.values()]
+        return loss, grads
+
+    monkeypatch.setattr(diffusion, "evaluate_with_gradients", watching)
+    pretrain_diffusion(pretrain_corpus, PretrainConfig(T=10, steps=4, batch=8, hidden=16, seed=46))
+    assert previous and alive_at_entry == [0, 0, 0, 0]
 
 
 def test_stacked_row_blocks_keep_product_bits():

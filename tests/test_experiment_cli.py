@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import shutil
@@ -10,6 +11,7 @@ from dddr import experiment
 from dddr.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from dddr.config import parse_config
 from dddr.corpus import Corpus
+from dddr.federation import ClientUpdate
 from dddr.experiment import (
     DataVault,
     GuardViolation,
@@ -24,7 +26,7 @@ from dddr.experiment import (
     stage_train,
 )
 from dddr.metrics import MetricsReport
-from dddr.params import load_checkpoint, save_checkpoint
+from dddr.params import ParamSet, load_checkpoint, save_checkpoint
 from dddr.tasks import PartitionSpec, build_plan
 
 MICRO = [
@@ -159,6 +161,35 @@ def test_fedewc_estimates_no_fisher_after_the_last_task(tmp_path, monkeypatch):
     assert len(calls) == 3 * (2 - 1)
 
 
+def test_fedewc_consolidates_with_no_client_update_or_client_fisher_alive(tmp_path, monkeypatch):
+    # by the time a task's penalty is consolidated, its rounds kept only their
+    # aggregate and its Fisher pass only the weighted mean
+    updates, fishers, alive = set(), set(), []
+    train, fisher, consolidate = experiment.local_train_client, experiment.fisher_estimate, experiment.consolidate_ewc
+
+    def training(*args, **kwargs):
+        update = train(*args, **kwargs)
+        updates.add(id(update))
+        return update
+
+    def estimating(*args, **kwargs):
+        estimate = fisher(*args, **kwargs)
+        fishers.add(id(estimate))
+        return estimate
+
+    def consolidating(pairs):
+        live = gc.get_objects()
+        alive.append((sum(isinstance(o, ClientUpdate) and id(o) in updates for o in live),
+                      sum(isinstance(o, ParamSet) and id(o) in fishers for o in live)))
+        return consolidate(pairs)
+
+    monkeypatch.setattr(experiment, "local_train_client", training)
+    monkeypatch.setattr(experiment, "fisher_estimate", estimating)
+    monkeypatch.setattr(experiment, "consolidate_ewc", consolidating)
+    run_fccl(micro_cfg("experiment.method=fedewc", "ewc.fisher_samples=8", "federation.clients=3"), tmp_path / "ewc")
+    assert len(fishers) == 3 and alive == [(0, 0)]
+
+
 def test_invert_requires_pretrain_artifact(tmp_path):
     cfg = micro_cfg()
     paths = prepare_run_dir(cfg, tmp_path / "partial")
@@ -291,6 +322,17 @@ def test_fedewc_skips_client_without_data(tmp_path):
     skipped = [r for r in records if r["task"] == 0 and r["client"] == 8]
     assert skipped == [{"task": 0, "round": 1, "client": 8, "samples": 0, "steps": 0}]
     assert all(r["steps"] > 0 for r in records if r["samples"] > 0)
+
+
+def test_cli_train_on_a_corpus_row_outside_the_dump_is_a_data_error_naming_the_line(tmp_path, capsys):
+    out = tmp_path / "outside-row"
+    args = ["gen-data", "--out", str(out)] + [f"--set={s}" for s in MICRO + ["experiment.method=finetune"]]
+    assert main(args) == EXIT_OK
+    manifest = RunPaths(root=out).client_corpus_dir / "manifest.csv"
+    (manifest.parent / "img_00001.pgm").rename(out / "outside.pgm")
+    manifest.write_text(manifest.read_text().replace("img_00001.pgm", "../outside.pgm"))
+    assert main(["train", "--out", str(out)]) == EXIT_DATA
+    assert f"error: data: {manifest}: line 3: file name '../outside.pgm' is not a plain name" in capsys.readouterr().err
 
 
 def test_cli_malformed_checkpoint_metadata_is_a_data_error(tmp_path, capsys):

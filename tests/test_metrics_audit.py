@@ -1,7 +1,13 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dddr.audit import PSNR_CAP_DB, psnr, similarity_audit, ssim
+from dddr import experiment
+from dddr.audit import PSNR_CAP_DB, SSIM_C1, SSIM_C2, PairReport, psnr, similarity_audit, ssim
+from dddr.config import parse_config
+from dddr.corpus import Corpus, dump_corpus, quantize01
 from dddr.classifier import ClassifierDims, init_classifier
 from dddr.metrics import (
     AccuracyMatrix,
@@ -13,6 +19,7 @@ from dddr.metrics import (
     local_client_eval,
 )
 from dddr.params import ParamSet
+from dddr.replay import ReplayCache, save_cache
 from dddr.rng import stream
 
 
@@ -197,7 +204,7 @@ def test_similarity_audit_finds_planted_pair():
     real = r.uniform(0, 1, (5, 1, 8, 8)).astype(np.float32)
     gen = r.uniform(0, 1, (4, 1, 8, 8)).astype(np.float32)
     gen[2] = real[3] + 0.01  # plant a near-duplicate
-    reports = similarity_audit({0: real}, {0: np.clip(gen, 0, 1)})
+    reports = similarity_audit([(0, real, np.clip(gen, 0, 1))])
     assert reports[0].psnr_pair == (3, 2)
     assert reports[0].best_psnr > 30
     assert reports[0].ssim_pair == (3, 2)
@@ -205,4 +212,82 @@ def test_similarity_audit_finds_planted_pair():
 
 def test_similarity_audit_shape_mismatch():
     with pytest.raises(ValueError, match="shapes differ"):
-        similarity_audit({0: np.zeros((1, 1, 8, 8), np.float32)}, {0: np.zeros((1, 1, 4, 4), np.float32)})
+        similarity_audit([(0, np.zeros((1, 1, 8, 8), np.float32), np.zeros((1, 1, 4, 4), np.float32))])
+
+
+def all_classes_audit(real_by_class, generated_by_class) -> list[PairReport]:
+    """The audit as it was before it scored one class at a time: every class's images up front."""
+    reports = []
+    for c in sorted(set(real_by_class) & set(generated_by_class)):
+        r = real_by_class[c].reshape(real_by_class[c].shape[0], -1).astype(np.float64)
+        g = generated_by_class[c].reshape(generated_by_class[c].shape[0], -1).astype(np.float64)
+        cross = r @ g.T / r.shape[1]
+        mse = np.maximum(np.mean(r * r, axis=1)[:, None] + np.mean(g * g, axis=1)[None, :] - 2 * cross, 0.0)
+        mu_r, mu_g = r.mean(axis=1)[:, None], g.mean(axis=1)[None, :]
+        var_r, var_g = r.var(axis=1)[:, None], g.var(axis=1)[None, :]
+        ssim_matrix = ((2 * mu_r * mu_g + SSIM_C1) * (2 * (cross - mu_r * mu_g) + SSIM_C2)) / (
+            (mu_r**2 + mu_g**2 + SSIM_C1) * (var_r + var_g + SSIM_C2)
+        )
+        with np.errstate(divide="ignore"):
+            psnr_matrix = np.where(mse == 0.0, PSNR_CAP_DB,
+                                   np.minimum(PSNR_CAP_DB, 10.0 * np.log10(1.0 / np.maximum(mse, 1e-300))))
+        pi = np.unravel_index(np.argmax(psnr_matrix), psnr_matrix.shape)
+        si = np.unravel_index(np.argmax(ssim_matrix), ssim_matrix.shape)
+        reports.append(PairReport(int(c), float(psnr_matrix[pi]), (int(pi[0]), int(pi[1])),
+                                  float(ssim_matrix[si]), (int(si[0]), int(si[1]))))
+    return reports
+
+
+def test_per_class_audit_equals_the_all_classes_form_bit_for_bit():
+    r = stream(8, "audit-identity")
+    real = {c: quantize01(r.uniform(0, 1, (6 + c, 1, 8, 8))) for c in range(4)}
+    gen = {c: quantize01(r.uniform(0, 1, (5, 1, 8, 8))) for c in (0, 1, 3, 7)}
+    gen[1][2] = gen[1][4] = real[1][3]  # two exact copies: capped PSNR and SSIM 1 tie on two pairs
+    gen[3][:] = gen[3][0]  # five equal images: every row of the matrices ties
+    expected = all_classes_audit(real, gen)
+    assert [e.class_index for e in expected] == [0, 1, 3]
+    assert expected[1].best_psnr == PSNR_CAP_DB and expected[1].psnr_pair == (3, 2)
+    got = similarity_audit((c, real[c], gen[c]) for c in sorted(set(real) & set(gen)))
+    assert got == expected
+
+
+def test_stage_audit_holds_one_class_at_a_time(tmp_path, monkeypatch):
+    # above what the corpus and the caches take once loaded, the audit's traced
+    # peak stays below one full copy of every class's real and generated images
+    r = stream(9, "audit-peak")
+    n_classes, real_per_class, gen_per_class = 16, 24, 12
+    labels = np.repeat(np.arange(n_classes), real_per_class)
+    corpus = Corpus(quantize01(r.uniform(0, 1, (labels.size, 1, 16, 16))), labels)
+    paths = experiment.RunPaths(root=tmp_path / "run")
+    dump_corpus(corpus, paths.client_corpus_dir)
+    caches = [ReplayCache({c: quantize01(r.uniform(0, 1, (gen_per_class, 1, 16, 16))) for c in classes}, seed=3)
+              for classes in (range(0, 8), range(0, 8), range(8, 16))]
+    for (task, which), cache in zip([(0, "current"), (1, "past"), (1, "current")], caches):
+        save_cache(cache, paths.replay_dir(task, which))
+    copies = corpus.images.nbytes + sum(v.nbytes for cache in caches for v in cache.by_class.values())
+
+    load_cache = experiment.load_cache
+    loaded = []
+
+    def loading(directory):
+        cache = load_cache(directory)
+        loaded.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()  # the peak that counts is the one after the last load
+        return cache
+
+    monkeypatch.setattr(experiment, "load_cache", loading)
+    corpus.classes()  # numpy imports numpy.ma on the first np.unique; that import is not the audit's
+    tracemalloc.start()
+    try:
+        payload = experiment.stage_audit(parse_config(None, []), paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 3 and peak - loaded[-1] < copies
+
+    real = {c: corpus.images[labels == c] for c in range(n_classes)}
+    gen = {c: np.concatenate([cache.by_class[c] for cache in caches if c in cache.by_class]) for c in range(n_classes)}
+    expected = [{"class": e.class_index, "best_psnr": e.best_psnr, "psnr_pair": list(e.psnr_pair),
+                 "best_ssim": e.best_ssim, "ssim_pair": list(e.ssim_pair)} for e in all_classes_audit(real, gen)]
+    assert payload == expected
+    assert json.loads(paths.audit_json.read_text()) == expected

@@ -209,3 +209,14 @@ def test_cache_rejects_a_row_whose_class_or_seed_disagrees(store, model, tmp_pat
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match=message):
         load_cache(tmp_path / "cache")
+
+
+def test_cache_row_outside_the_cache_is_rejected(store, model, tmp_path):
+    # the moved file holds the row's own pixels, so only the name check can refuse it
+    cache = ReplayCache(seed=5)
+    cache.by_class[0] = generate_samples(store, [(0, 3)], model, seed=5)[0]
+    manifest = save_cache(cache, tmp_path / "cache")
+    (tmp_path / "cache" / "cls000_0001.pgm").rename(tmp_path / "outside.pgm")
+    manifest.write_text(manifest.read_text().replace("cls000_0001.pgm", "../outside.pgm"))
+    with pytest.raises(DataFormatError, match=r"line 3: file name '../outside.pgm' is not a plain name"):
+        load_cache(tmp_path / "cache")

@@ -83,3 +83,5 @@ def test_traced_stages_record_the_work_the_run_did(tmp_path):
             rows += sum(1 for _ in csv.DictReader(f))
     assert rows > 0
     assert totals["diffusion.sample"][2] == rows
+    # the audit scores its classes one at a time inside one call, so its per-call time stays per audit
+    assert totals["audit.similarity_audit"][0] == 1
